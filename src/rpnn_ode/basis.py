@@ -95,17 +95,24 @@ class RbfSegmentBasis:
         if not np.all(self.inv_sq_widths > 0):
             raise ValueError("inverse squared widths must be strictly positive")
 
+    def _offsets(self, x) -> np.ndarray:
+        xs = np.asarray(x, dtype=float)
+        return xs[..., None, None] + self.biases - self.centers[:, None]
+
     def gaussians(self, x) -> np.ndarray:
         """Gaussian values at x: shape (h, m) for scalar x, (k, h, m) for (k,)."""
-        xs = np.asarray(x, dtype=float)
-        u = xs[..., None, None] + self.biases - self.centers[:, None]
+        u = self._offsets(x)
         return np.exp(-(u * u) * self.inv_sq_widths)
 
     def gaussians_dx(self, x) -> np.ndarray:
         """d/dx of :meth:`gaussians`, same shape conventions."""
-        xs = np.asarray(x, dtype=float)
-        u = xs[..., None, None] + self.biases - self.centers[:, None]
-        return -2.0 * u * self.inv_sq_widths * np.exp(-(u * u) * self.inv_sq_widths)
+        return self._gaussians_and_dx(x)[1]
+
+    def _gaussians_and_dx(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`gaussians` and :meth:`gaussians_dx` from one exp."""
+        u = self._offsets(x)
+        g = np.exp(-(u * u) * self.inv_sq_widths)
+        return g, -2.0 * u * self.inv_sq_widths * g
 
 
 def rbf_value(c: float, b: float, inv_sq_width: float, x: float):

@@ -101,8 +101,7 @@ def assemble_residual(problem: OdeProblem, seg: SegmentSolution, grid: Collocati
     _check_dims(problem, seg)
     xs = grid.points
     n, m = len(xs), problem.m
-    g = seg.basis.gaussians(xs)
-    gx = seg.basis.gaussians_dx(xs)
+    g, gx = seg.basis._gaussians_and_dx(xs)
     ramp = (xs - seg.x_start)[:, None]
     n_vals = (g * seg.weights).sum(axis=1)
     psi = seg.alpha + ramp * n_vals
@@ -121,8 +120,7 @@ def assemble_jacobian(problem: OdeProblem, seg: SegmentSolution, grid: Collocati
     _check_dims(problem, seg)
     xs = grid.points
     n, m, h = len(xs), problem.m, seg.basis.h
-    g = seg.basis.gaussians(xs)  # (n, h, m)
-    gx = seg.basis.gaussians_dx(xs)
+    g, gx = seg.basis._gaussians_and_dx(xs)  # (n, h, m) each
     ramp = (xs - seg.x_start)[:, None]
     psi = seg.alpha + ramp * (g * seg.weights).sum(axis=1)
     dw = ramp[:, :, None] * g  # (n, h, k): d psi_k / d w_jk at x_l

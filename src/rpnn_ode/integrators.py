@@ -343,13 +343,14 @@ def dense_eval(traj: Trajectory, x) -> np.ndarray:
     trajectory carries one, and cubic Hermite interpolation of the stored
     states and derivatives otherwise.  Either way the values are exact at
     accepted abscissae.  Shape follows the input: (m,) for scalar x, else
-    (k, m).
+    (k, m).  Raises ValueError when a point lies outside the trajectory or
+    is NaN.
     """
     xs = np.asarray(x, dtype=float)
     scalar = xs.ndim == 0
     pts = np.atleast_1d(xs)
     t = traj.abscissae
-    if pts.size and (pts.min() < t[0] or pts.max() > t[-1]):
+    if pts.size and not (pts.min() >= t[0] and pts.max() <= t[-1]):
         raise ValueError(
             f"evaluation points must lie in [{t[0]}, {t[-1]}], "
             f"got range [{pts.min()}, {pts.max()}]"

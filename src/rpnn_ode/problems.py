@@ -47,8 +47,8 @@ class OdeProblem:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError(f"system dimension must be >= 1, got {self.m}")
-        if not self.x_end > self.x0:
-            raise ValueError(f"x_end must exceed x0, got [{self.x0}, {self.x_end}]")
+        if not -math.inf < self.x0 < self.x_end < math.inf:
+            raise ValueError(f"need finite x0 < x_end, got [{self.x0}, {self.x_end}]")
         alpha = np.atleast_1d(np.asarray(self.alpha, dtype=float))
         if alpha.shape != (self.m,):
             raise ValueError(f"alpha must have shape ({self.m},), got {alpha.shape}")
@@ -84,8 +84,8 @@ def jacobian_eval(problem: OdeProblem, x: float, y: np.ndarray) -> np.ndarray:
 
 
 def _prothero_robinson(lam: float) -> OdeProblem:
-    if lam >= 0:
-        raise ValueError(f"lambda must be negative, got {lam}")
+    if not -math.inf < lam < 0:
+        raise ValueError(f"lambda must be finite and negative, got {lam}")
 
     def rhs(x, y):
         return np.array([lam * (y[0] - math.sin(x)) + math.cos(x)])
@@ -110,8 +110,8 @@ def _prothero_robinson(lam: float) -> OdeProblem:
 
 
 def _van_der_pol(mu: float) -> OdeProblem:
-    if mu <= 0:
-        raise ValueError(f"mu must be positive, got {mu}")
+    if not 0 < mu < math.inf:
+        raise ValueError(f"mu must be finite and positive, got {mu}")
 
     def rhs(x, y):
         return np.array([y[1], mu * (1.0 - y[0] ** 2) * y[1] - y[0]])

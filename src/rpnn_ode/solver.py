@@ -224,20 +224,24 @@ def solve_adaptive(problem: OdeProblem, config: SolverConfig) -> PiecewiseSoluti
 def eval_solution(sol: PiecewiseSolution, x) -> np.ndarray:
     """Evaluate at x in [x0, x_end]: (m,) for scalar x, (k, m) for k points.
 
-    Segments own right-closed intervals, with x0 belonging to the first; at
-    interior knots both neighbours agree exactly by construction.
+    Points may come in any order, with repeats.  Segments own right-closed
+    intervals, with x0 belonging to the first; at interior knots both
+    neighbours agree exactly by construction.  Raises ValueError when a
+    point lies outside [x0, x_end] or is NaN.
     """
     xs = np.asarray(x, dtype=float)
     scalar = xs.ndim == 0
     pts = np.atleast_1d(xs)
-    if pts.size and (pts.min() < sol.x0 or pts.max() > sol.x_end):
+    if pts.size and not (pts.min() >= sol.x0 and pts.max() <= sol.x_end):
         raise ValueError(
             f"evaluation points must lie in [{sol.x0}, {sol.x_end}], "
             f"got range [{pts.min()}, {pts.max()}]"
         )
     idx = np.searchsorted(sol.knots[1:], pts, side="left")
+    order = np.argsort(idx, kind="stable")
+    bounds = np.searchsorted(idx[order], np.arange(sol.n_segments + 1), side="left")
     out = np.empty((len(pts), sol.m))
-    for k in np.unique(idx):
-        mask = idx == k
-        out[mask] = trial_eval(sol.segments[k], pts[mask])
+    for k in np.flatnonzero(np.diff(bounds)):
+        run = order[bounds[k] : bounds[k + 1]]
+        out[run] = trial_eval(sol.segments[k], pts[run])
     return out[0] if scalar else out

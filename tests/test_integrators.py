@@ -163,6 +163,14 @@ def test_dense_eval_domain_validation_and_shapes():
         dense_eval(traj, 1.01)
 
 
+def test_dense_eval_rejects_nan():
+    traj = dp45_solve(DECAY, StepControl(1e-8, 1e-8))
+    with pytest.raises(ValueError):
+        dense_eval(traj, math.nan)
+    with pytest.raises(ValueError):
+        dense_eval(traj, np.array([0.1, math.nan, 0.9]))
+
+
 def test_step_control_validation():
     with pytest.raises(ValueError):
         StepControl(abs_tol=0.0, rel_tol=1e-6)

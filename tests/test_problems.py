@@ -115,6 +115,18 @@ def test_make_benchmark_validation():
         make_benchmark("vdp", sigma=1.0)
 
 
+@pytest.mark.parametrize("name, params", [
+    ("pr", {"lam": math.nan}),
+    ("pr", {"lam": -math.inf}),
+    ("vdp", {"mu": math.inf}),
+    ("vdp", {"mu": math.nan}),
+    ("vdp", {"mu": 1e308}),  # finite, but the domain [0, 3 mu] is not
+])
+def test_make_benchmark_rejects_non_finite_parameters(name, params):
+    with pytest.raises(ValueError):
+        make_benchmark(name, **params)
+
+
 def test_analytic_solution_only_for_prothero_robinson():
     pr = make_benchmark("pr")
     xs = np.linspace(0, 2 * math.pi, 7)
@@ -153,3 +165,12 @@ def test_problem_constructor_validation():
         OdeProblem(name="b", m=1, x0=1.0, x_end=1.0, alpha=np.array([0.0]), **kwargs)
     with pytest.raises(ValueError):
         OdeProblem(name="b", m=2, x0=0.0, x_end=1.0, alpha=np.array([0.0]), **kwargs)
+
+
+@pytest.mark.parametrize("x0, x_end", [(0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0), (0.0, math.nan)])
+def test_problem_domain_must_be_finite(x0, x_end):
+    from rpnn_ode import OdeProblem
+
+    with pytest.raises(ValueError):
+        OdeProblem(name="b", m=1, x0=x0, x_end=x_end, alpha=np.array([0.0]),
+                   rhs=lambda x, y: y, ode_jacobian=lambda x, y: np.eye(1))

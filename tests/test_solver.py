@@ -5,6 +5,7 @@ import pytest
 
 from rpnn_ode import (
     OdeProblem,
+    PiecewiseSolution,
     SeededRng,
     SegmentSolution,
     SolverConfig,
@@ -189,3 +190,56 @@ def test_rober_conservation():
     xs = np.linspace(0.0, 40.0, 1000)
     totals = eval_solution(sol, xs).sum(axis=1)
     assert np.abs(totals - 1.0).max() <= 1e-6
+
+
+def random_piecewise(seed, m, h=12, n_segments=5):
+    """A contiguous piecewise solution of random segments (no training)."""
+    rng = SeededRng(seed)
+    knots = np.concatenate([[0.0], np.cumsum(rng.uniform(0.2, 1.5, size=(n_segments,)))])
+    segments = []
+    for start, stop in zip(knots[:-1], knots[1:]):
+        segments.append(SegmentSolution(
+            basis=sample_basis(start, stop - start, h, m, rng),
+            alpha=rng.uniform(-1.0, 1.0, size=(m,)),
+            weights=rng.uniform(-3.0, 3.0, size=(h, m)), x_stop=stop))
+    return PiecewiseSolution(problem_name="random", m=m, x0=0.0, x_end=knots[-1],
+                             segments=tuple(segments), iterations=(0,) * n_segments,
+                             total_points=0)
+
+
+def masked_broadcast_eval(sol, pts):
+    """Oracle: one boolean mask per segment, broadcast (k, h, m) formula."""
+    idx = np.searchsorted(sol.knots[1:], pts, side="left")
+    out = np.empty((len(pts), sol.m))
+    for k in np.unique(idx):
+        seg, mask = sol.segments[k], idx == k
+        ramp = (pts[mask] - seg.x_start)[:, None]
+        out[mask] = seg.alpha + ramp * (seg.basis.gaussians(pts[mask]) * seg.weights).sum(axis=1)
+    return out
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 8])
+def test_eval_solution_is_bitwise_the_masked_broadcast_formula(m):
+    sol = random_piecewise(40 + m, m)
+    for count in (0, 1, 2, 1000):
+        xs = np.linspace(sol.x0, sol.x_end, count)
+        assert np.array_equal(eval_solution(sol, xs), masked_broadcast_eval(sol, xs))
+    assert np.array_equal(eval_solution(sol, sol.knots), masked_broadcast_eval(sol, sol.knots))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 8])
+def test_eval_solution_any_order_is_the_sorted_result_permuted(m):
+    sol = random_piecewise(60 + m, m)
+    rng = np.random.default_rng(m)
+    xs = np.concatenate([rng.uniform(sol.x0, sol.x_end, 500), sol.knots, sol.knots[1:4]])
+    shuffled = xs[rng.permutation(len(xs))]
+    order = np.argsort(shuffled, kind="stable")
+    assert np.array_equal(eval_solution(sol, shuffled)[order], eval_solution(sol, shuffled[order]))
+
+
+def test_eval_solution_rejects_nan():
+    sol = random_piecewise(7, 2)
+    with pytest.raises(ValueError):
+        eval_solution(sol, math.nan)
+    with pytest.raises(ValueError):
+        eval_solution(sol, np.array([0.5, math.nan, 1.0]))

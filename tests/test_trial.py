@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import rpnn_ode.trial as trial_module
 from conftest import fd_scalar
 from rpnn_ode import (
     RbfSegmentBasis,
@@ -172,3 +173,43 @@ def test_segment_constructor_validation():
         SegmentSolution(basis=basis, alpha=np.zeros(2), weights=np.zeros((4, 2)), x_stop=0.0)
     with pytest.raises(ValueError):
         SegmentSolution(basis=basis, alpha=np.zeros(2), weights=np.zeros((4, 2)), x_stop=2.0)
+
+
+def broadcast_eval(seg, xs):
+    """Oracle: psi from the plain (k, h, m) broadcast formula."""
+    ramp = (xs - seg.x_start)[:, None]
+    return seg.alpha + ramp * (seg.basis.gaussians(xs) * seg.weights).sum(axis=1)
+
+
+def broadcast_dx(seg, xs):
+    """Oracle: dpsi/dx from the plain (k, h, m) broadcast formula."""
+    ramp = (xs - seg.x_start)[:, None]
+    n_vals = (seg.basis.gaussians(xs) * seg.weights).sum(axis=1)
+    return n_vals + ramp * (seg.basis.gaussians_dx(xs) * seg.weights).sum(axis=1)
+
+
+def block_point_counts(block):
+    return (0, 1, block - 1, block, block + 1, 3 * block + 5)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 8])
+def test_blocked_evaluation_is_bitwise_the_broadcast_formula(m):
+    seg = random_segment(100 + m, h=40, m=m, x_start=0.5, width=2.0, weight_scale=5.0)
+    block = trial_module._block_len(seg.basis.h, m)
+    for count in block_point_counts(block):
+        # a margin on both sides: extrapolation runs the same kernel
+        xs = np.linspace(seg.x_start - 0.3, seg.x_stop + 0.3, count)
+        assert np.array_equal(trial_eval(seg, xs), broadcast_eval(seg, xs))
+        assert np.array_equal(trial_dx(seg, xs), broadcast_dx(seg, xs))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 8])
+@pytest.mark.parametrize("block", [1, 7, 256])
+def test_result_does_not_depend_on_block_size(monkeypatch, m, block):
+    seg = random_segment(200 + m, h=12, m=m, weight_scale=3.0)
+    monkeypatch.setattr(trial_module, "_BLOCK_VALUES", block * 12 * m)
+    assert trial_module._block_len(12, m) == block
+    for count in block_point_counts(block):
+        xs = np.linspace(seg.x_start - 0.2, seg.x_stop + 0.2, count)
+        assert np.array_equal(trial_eval(seg, xs), broadcast_eval(seg, xs))
+        assert np.array_equal(trial_dx(seg, xs), broadcast_dx(seg, xs))
