@@ -7,9 +7,16 @@ Two methods are provided:
   problems, stability-limited on stiff ones.
 * :func:`sdirk_solve` -- a 5-stage singly-diagonally-implicit Runge-Kutta
   method of order 4 with an embedded order-3 error estimate.  It is L-stable
-  and stiffly accurate; each stage is solved by Newton iteration with the
-  problem's analytic Jacobian, reusing one iteration matrix per step.  At
-  tight tolerances this serves as the reference trajectory generator.
+  and stiffly accurate; each stage is solved by simplified Newton iteration
+  with the problem's analytic Jacobian, frozen over the step.  The iteration
+  matrix I - h*gamma*J is inverted once per step, and every stage, Newton
+  iteration and the error smoothing apply that inverse as a matrix-vector
+  product.  numpy has no LU factor/solve pair (and scipy is not a
+  dependency); for the small systems here one explicit inverse per step is
+  one LAPACK call, where a solve per iteration paid numpy's call overhead on
+  every iteration.  Rounding in the inverse only perturbs the Newton
+  direction, which the iteration itself corrects.  At tight tolerances this
+  serves as the reference trajectory generator.
 
 Both record the state and its derivative at every accepted point for dense
 output through :func:`dense_eval`: dp45 trajectories additionally carry the
@@ -160,7 +167,7 @@ class Trajectory:
 
 def _scaled_error(err_vec: np.ndarray, y_old: np.ndarray, y_new: np.ndarray, ctrl: StepControl) -> float:
     scale = ctrl.abs_tol + ctrl.rel_tol * np.maximum(np.abs(y_old), np.abs(y_new))
-    return float(np.max(np.abs(err_vec) / scale))
+    return float((np.abs(err_vec) / scale).max())
 
 def _initial_step(problem: OdeProblem, f0: np.ndarray, ctrl: StepControl, order: int) -> float:
     """Small-cost starting guess: compare the state scale with its derivative."""
@@ -202,7 +209,7 @@ def dp45_solve(problem: OdeProblem, ctrl: StepControl) -> Trajectory:
     """Integrate with the explicit Dormand-Prince 5(4) pair."""
     x, y = problem.x0, problem.alpha.copy()
     f = np.asarray(problem.rhs(x, y), dtype=float)
-    if not np.all(np.isfinite(f)):
+    if not np.isfinite(f).all():
         raise NumericError(f"rhs not finite at the initial point of {problem.name!r}")
     span = problem.x_end - problem.x0
     h = _initial_step(problem, f, ctrl, order=5)
@@ -222,13 +229,13 @@ def dp45_solve(problem: OdeProblem, ctrl: StepControl) -> Trajectory:
         for s in range(1, 7):
             y_stage = y + h * (_DP_A[s - 1] @ k[:s])
             k[s] = problem.rhs(x + _DP_C[s] * h, y_stage)
-            if not np.all(np.isfinite(k[s])):
+            if not np.isfinite(k[s]).all():
                 finite = False
                 break
         if finite:
             y_new = y + h * (_DP_B @ k)
             err = _scaled_error(h * (_DP_E @ k), y, y_new, ctrl)
-            finite = np.isfinite(err) and np.all(np.isfinite(y_new))
+            finite = np.isfinite(err) and np.isfinite(y_new).all()
         if finite and err <= 1.0:
             x = problem.x_end if last else x + h
             y = y_new
@@ -249,23 +256,20 @@ def dp45_solve(problem: OdeProblem, ctrl: StepControl) -> Trajectory:
                       extension=np.array(ext))
 
 
-def _sdirk_stage(problem, matrix, x_stage, beta, y_guess, h, scale):
-    """Newton-solve one implicit stage; returns (Y, ok)."""
-    y_stage = y_guess.copy()
+def _sdirk_stage(problem, inv, x_stage, beta, y_guess, h, scale):
+    """Newton-solve one implicit stage through the inverted iteration matrix; returns (Y, ok)."""
+    y_stage = y_guess
+    hg = h * _SD_GAMMA
     prev = np.inf
     for _ in range(_MAX_NEWTON):
         f_stage = np.asarray(problem.rhs(x_stage, y_stage), dtype=float)
-        if not np.all(np.isfinite(f_stage)):
+        if not np.isfinite(f_stage).all():
             return y_stage, False
-        g = y_stage - h * _SD_GAMMA * f_stage - beta
-        try:
-            dy = np.linalg.solve(matrix, -g)
-        except np.linalg.LinAlgError:
-            return y_stage, False
-        if not np.all(np.isfinite(dy)):
+        dy = inv @ (beta - (y_stage - hg * f_stage))
+        if not np.isfinite(dy).all():
             return y_stage, False
         y_stage = y_stage + dy
-        err = float(np.max(np.abs(dy) / scale))
+        err = float((np.abs(dy) / scale).max())
         if err <= 1e-2:
             return y_stage, True
         if err > 2.0 * prev:  # diverging: give up early, the step will shrink
@@ -277,14 +281,16 @@ def _sdirk_stage(problem, matrix, x_stage, beta, y_guess, h, scale):
 def sdirk_solve(problem: OdeProblem, ctrl: StepControl) -> Trajectory:
     """Integrate with the L-stable SDIRK 4(3) method using analytic Jacobians.
 
-    One iteration matrix I - h*gamma*J(x, y) is formed per step and reused by
-    every stage's Newton iteration; the embedded error estimate is smoothed
-    through the same matrix so it stays bounded on very stiff modes.
+    One iteration matrix I - h*gamma*J(x, y) is formed and inverted per step;
+    the inverse serves every stage's Newton iteration, and the embedded error
+    estimate is smoothed through it so it stays bounded on very stiff modes.
+    An explicit inverse, not LU, because numpy exposes no factor/solve pair.
+    A singular iteration matrix rejects the step like a failed stage.
     """
     x, y = problem.x0, problem.alpha.copy()
     m = problem.m
     f = np.asarray(problem.rhs(x, y), dtype=float)
-    if not np.all(np.isfinite(f)):
+    if not np.isfinite(f).all():
         raise NumericError(f"rhs not finite at the initial point of {problem.name!r}")
     span = problem.x_end - problem.x0
     h = _initial_step(problem, f, ctrl, order=4)
@@ -301,16 +307,21 @@ def sdirk_solve(problem: OdeProblem, ctrl: StepControl) -> Trajectory:
         h = min(h, problem.x_end - x)
         last = h >= problem.x_end - x
         jac = np.asarray(problem.ode_jacobian(x, y), dtype=float)
-        if not np.all(np.isfinite(jac)):
+        if not np.isfinite(jac).all():
             raise NumericError(f"ode_jacobian not finite at x={x!r}")
-        matrix = eye - h * _SD_GAMMA * jac
+        try:
+            inv = np.linalg.inv(eye - h * _SD_GAMMA * jac)
+        except np.linalg.LinAlgError:
+            n_rejected += 1
+            h *= ctrl.min_factor
+            continue
         scale = ctrl.abs_tol + ctrl.rel_tol * np.abs(y)
         ok = True
         y_stage = y
         for s in range(5):
             beta = y + h * (_SD_A[s, :s] @ k[:s]) if s else y
             y_stage, ok = _sdirk_stage(
-                problem, matrix, x + _SD_C[s] * h, beta, y_stage, h, scale
+                problem, inv, x + _SD_C[s] * h, beta, y_stage, h, scale
             )
             if not ok:
                 break
@@ -318,9 +329,8 @@ def sdirk_solve(problem: OdeProblem, ctrl: StepControl) -> Trajectory:
         if ok:
             y_new = y_stage  # stiffly accurate: the last stage is the step value
             raw = h * (_SD_E @ k)
-            smoothed = np.linalg.solve(matrix, raw)
-            err = _scaled_error(smoothed, y, y_new, ctrl)
-            ok = np.isfinite(err) and np.all(np.isfinite(y_new))
+            err = _scaled_error(inv @ raw, y, y_new, ctrl)
+            ok = np.isfinite(err) and np.isfinite(y_new).all()
         if ok and err <= 1.0:
             x = problem.x_end if last else x + h
             y = y_new

@@ -1,7 +1,8 @@
 """Error metrics and the benchmark harness.
 
-Solutions are compared on equidistant grids against a tightly-toleranced
-implicit reference trajectory.  An "evaluable" is any callable mapping a 1-d
+Solutions are compared on equidistant grids against a reference: the
+problem's analytic solution when it has one, else a tightly-toleranced
+implicit trajectory.  An "evaluable" is any callable mapping a 1-d
 array of abscissae to a (len(x), m) array of states; piecewise solutions and
 trajectories both satisfy this through their __call__.
 """
@@ -96,8 +97,11 @@ def metric_grid(problem: OdeProblem, size: int | None = None) -> np.ndarray:
     return np.linspace(problem.x0, problem.x_end, size or default_grid_size(problem))
 
 
-def reference_solution(problem: OdeProblem, tol: float = REFERENCE_TOL):
-    """Tight-tolerance implicit trajectory used as the comparison baseline."""
+def reference_solution(problem: OdeProblem, tol: float = REFERENCE_TOL) -> Evaluable:
+    """The comparison baseline: ``problem.analytic`` when present, else an
+    sdirk trajectory at ``tol``."""
+    if problem.analytic is not None:
+        return problem.analytic
     return sdirk_solve(problem, StepControl(abs_tol=tol, rel_tol=tol))
 
 
@@ -140,9 +144,11 @@ def run_benchmark(
 ) -> list[RunReport]:
     """Solve each problem with each method, timed over `repeats` runs.
 
-    Errors are measured on the problem's metric grid against an implicit
-    reference trajectory at `reference_tol`.  A failing cell is recorded with
-    status "error" and does not abort the suite.
+    Errors are measured on the problem's metric grid against
+    :func:`reference_solution`: the analytic solution when the problem has
+    one (Prothero-Robinson), else an sdirk trajectory at `reference_tol`.
+    A failing cell is recorded with status "error" and does not abort the
+    suite.
     """
     if repeats < 1:
         raise ValueError(f"need repeats >= 1, got {repeats}")

@@ -87,6 +87,12 @@ def gauss_newton_train(
     Newton contraction deeper), which is what keeps the integrated drift of
     wide smooth segments small.
 
+    An iteration that starts with the residual above tol on the last allowed
+    iteration cannot converge whatever its step does, so it is not taken: a
+    failed attempt reports the residual after maxiter - 1 steps in
+    ``final_residual_norm`` (and hence in ``StepUnderflowError.last_error``)
+    and ``iterations = maxiter - 1``.
+
     Returns without raising on non-finite residuals or Jacobians; these count
     as non-convergence so the adaptive driver can respond by halving the
     interval instead of aborting.
@@ -102,6 +108,8 @@ def gauss_newton_train(
     if err <= tol:
         return TrainResult(True, err, 0)
     for iteration in range(1, maxiter + 1):
+        if iteration == maxiter and err > tol:
+            break  # no step taken here could pass the pre-step test
         try:
             jac = assemble_jacobian(problem, seg, grid)
             step = -truncated_pinv_solve(jac, resid, truncation)
@@ -124,7 +132,7 @@ def gauss_newton_train(
         if not np.isfinite(new_err):
             return TrainResult(False, np.inf, iteration)
         resid, err = new_resid, new_err
-    return TrainResult(False, err, maxiter)
+    return TrainResult(False, err, maxiter - 1)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,22 @@ from rpnn_ode import (
     make_benchmark,
     sdirk_solve,
 )
-from rpnn_ode.integrators import _DP_B, _DP_E, _SD_A, _SD_B, _SD_BHAT, _SD_C
+from rpnn_ode.integrators import (
+    _DP_B,
+    _DP_E,
+    _MAX_NEWTON,
+    _SD_A,
+    _SD_B,
+    _SD_BHAT,
+    _SD_C,
+    _SD_E,
+    _SD_GAMMA,
+    Trajectory,
+    _check_underflow,
+    _grow_factor,
+    _initial_step,
+    _scaled_error,
+)
 
 DECAY = OdeProblem(name="decay", m=1, x0=0.0, x_end=1.0, alpha=np.array([1.0]),
                    rhs=lambda x, y: -y, ode_jacobian=lambda x, y: -np.eye(1))
@@ -117,6 +132,97 @@ def test_sdirk_completes_benchmarks_at_tight_tolerance(name, params, reference_c
     assert traj.abscissae[0] == problem.x0
     assert traj.abscissae[-1] == problem.x_end
     assert np.all(np.isfinite(traj.states))
+
+
+def solve_stage_every_iteration(problem, matrix, x_stage, beta, y_guess, h, scale):
+    """Oracle: Newton-solve one stage with np.linalg.solve on every iteration."""
+    y_stage = y_guess.copy()
+    prev = np.inf
+    for _ in range(_MAX_NEWTON):
+        f_stage = np.asarray(problem.rhs(x_stage, y_stage), dtype=float)
+        if not np.all(np.isfinite(f_stage)):
+            return y_stage, False
+        g = y_stage - h * _SD_GAMMA * f_stage - beta
+        try:
+            dy = np.linalg.solve(matrix, -g)
+        except np.linalg.LinAlgError:
+            return y_stage, False
+        if not np.all(np.isfinite(dy)):
+            return y_stage, False
+        y_stage = y_stage + dy
+        err = float(np.max(np.abs(dy) / scale))
+        if err <= 1e-2:
+            return y_stage, True
+        if err > 2.0 * prev:
+            return y_stage, False
+        prev = err
+    return y_stage, False
+
+
+def sdirk_solve_every_iteration(problem, ctrl):
+    """Oracle: sdirk_solve with the iteration matrix solved afresh each time."""
+    x, y = problem.x0, problem.alpha.copy()
+    f = np.asarray(problem.rhs(x, y), dtype=float)
+    span = problem.x_end - problem.x0
+    h = _initial_step(problem, f, ctrl, order=4)
+    xs, ys, fs = [x], [y.copy()], [f.copy()]
+    n_steps = n_rejected = 0
+    k = np.empty((5, problem.m))
+    while x < problem.x_end:
+        _check_underflow(h, x, span)
+        h = min(h, problem.x_end - x)
+        last = h >= problem.x_end - x
+        matrix = np.eye(problem.m) - h * _SD_GAMMA * problem.ode_jacobian(x, y)
+        scale = ctrl.abs_tol + ctrl.rel_tol * np.abs(y)
+        ok = True
+        y_stage = y
+        for s in range(5):
+            beta = y + h * (_SD_A[s, :s] @ k[:s]) if s else y
+            y_stage, ok = solve_stage_every_iteration(
+                problem, matrix, x + _SD_C[s] * h, beta, y_stage, h, scale
+            )
+            if not ok:
+                break
+            k[s] = (y_stage - beta) / (h * _SD_GAMMA)
+        if ok:
+            y_new = y_stage
+            err = _scaled_error(np.linalg.solve(matrix, h * (_SD_E @ k)), y, y_new, ctrl)
+            ok = np.isfinite(err) and np.all(np.isfinite(y_new))
+        if ok and err <= 1.0:
+            x = problem.x_end if last else x + h
+            y = y_new
+            f = np.asarray(problem.rhs(x, y), dtype=float)
+            xs.append(x)
+            ys.append(y.copy())
+            fs.append(f.copy())
+            n_steps += 1
+            h *= _grow_factor(err, ctrl, 0.25)
+        else:
+            n_rejected += 1
+            h *= ctrl.min_factor if not ok else min(1.0, _grow_factor(err, ctrl, 0.25))
+    return Trajectory(np.array(xs), np.array(ys), np.array(fs), n_steps, n_rejected)
+
+
+@pytest.mark.parametrize("name,params", [("hires", {}), ("rober", {}), ("van_der_pol", {"mu": 1.0})])
+def test_sdirk_matches_the_solve_every_iteration_oracle(name, params):
+    problem = make_benchmark(name, **params)
+    ctrl = StepControl(1e-10, 1e-10)
+    traj = sdirk_solve(problem, ctrl)
+    oracle = sdirk_solve_every_iteration(problem, ctrl)
+    assert traj.n_steps == oracle.n_steps
+    assert traj.n_rejected == oracle.n_rejected
+    grid = np.linspace(problem.x0, problem.x_end, 20001)
+    want = dense_eval(oracle, grid)
+    assert (np.abs(dense_eval(traj, grid) - want) / (1.0 + np.abs(want))).max() <= 1e-10
+
+
+def test_sdirk_recovers_from_a_singular_iteration_matrix():
+    # h * gamma * lambda = 1 * 0.25 * 4 makes 1 - h*gamma*lambda exactly zero
+    growth = OdeProblem(name="growth", m=1, x0=0.0, x_end=1.0, alpha=np.array([1.0]),
+                        rhs=lambda x, y: 4.0 * y, ode_jacobian=lambda x, y: np.array([[4.0]]))
+    traj = sdirk_solve(growth, StepControl(1e-8, 1e-8, initial_step=1.0))
+    assert traj.n_rejected >= 1
+    assert abs(traj.states[-1, 0] / math.exp(4.0) - 1.0) <= 1e-7
 
 
 def test_dense_eval_exact_at_accepted_points():

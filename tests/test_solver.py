@@ -19,6 +19,9 @@ from rpnn_ode import (
     solve_adaptive,
     trial_eval,
 )
+from rpnn_ode import solver as solver_module
+from rpnn_ode.errors import NumericError
+from rpnn_ode.solver import TrainResult, assemble_jacobian, truncated_pinv_solve
 
 DECAY = OdeProblem(name="decay", m=1, x0=0.0, x_end=1.0, alpha=np.array([1.0]),
                    rhs=lambda x, y: -y, ode_jacobian=lambda x, y: -np.eye(1))
@@ -71,6 +74,81 @@ def test_gauss_newton_non_finite_is_non_convergence():
     result = gauss_newton_train(bad, seg, make_grid(0.0, 1.0, 4), tol=1e-6, maxiter=4)
     assert not result.converged
     assert not np.isfinite(result.final_residual_norm)
+
+
+@pytest.mark.parametrize("maxiter", [1, 2, 4])
+def test_failing_attempt_skips_the_step_that_cannot_converge(maxiter, monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return assemble_jacobian(*args)
+
+    monkeypatch.setattr(solver_module, "assemble_jacobian", counting)
+    basis = sample_basis(0.0, 1.0, 40, 1, SeededRng(0))
+    seg = SegmentSolution(basis=basis, alpha=np.array([1.0]), weights=np.zeros((40, 1)), x_stop=1.0)
+    result = gauss_newton_train(DECAY, seg, make_grid(0.0, 1.0, 20), tol=1e-300, maxiter=maxiter)
+    assert not result.converged
+    assert len(calls) == maxiter - 1
+    assert result.iterations == maxiter - 1
+    assert np.isfinite(result.final_residual_norm) and result.final_residual_norm > 1e-300
+
+
+def train_every_iteration(problem, seg, grid, tol, maxiter, truncation):
+    """Oracle: the Gauss-Newton loop that also takes the last, futile step."""
+    h, m = seg.basis.h, seg.basis.m
+    try:
+        resid = assemble_residual(problem, seg, grid)
+    except NumericError:
+        return TrainResult(False, np.inf, 0)
+    err = float(np.linalg.norm(resid))
+    if not np.isfinite(err):
+        return TrainResult(False, np.inf, 0)
+    if err <= tol:
+        return TrainResult(True, err, 0)
+    for iteration in range(1, maxiter + 1):
+        try:
+            jac = assemble_jacobian(problem, seg, grid)
+            step = -truncated_pinv_solve(jac, resid, truncation)
+        except NumericError:
+            return TrainResult(False, err, iteration - 1)
+        delta = step.reshape(m, h).T
+        seg.weights += delta
+        try:
+            new_resid = assemble_residual(problem, seg, grid)
+            new_err = float(np.linalg.norm(new_resid))
+        except NumericError:
+            new_resid, new_err = None, np.inf
+        if err <= tol:
+            if not new_err <= err:
+                seg.weights -= delta
+                new_err = err
+            return TrainResult(True, new_err, iteration)
+        if not np.isfinite(new_err):
+            return TrainResult(False, np.inf, iteration)
+        resid, err = new_resid, new_err
+    return TrainResult(False, err, maxiter)
+
+
+def test_solve_adaptive_is_bitwise_the_every_iteration_loop(monkeypatch):
+    rob = make_benchmark("rober")
+    config = SolverConfig(tol=1e-6, seed=0)
+    sol = solve_adaptive(rob, config)
+    results = []
+
+    def recording(*args):
+        results.append(train_every_iteration(*args))
+        return results[-1]
+
+    monkeypatch.setattr(solver_module, "gauss_newton_train", recording)
+    oracle = solve_adaptive(rob, config)
+    assert any(not r.converged for r in results)  # the skipped step was reached
+    assert np.array_equal(sol.knots, oracle.knots)
+    assert sol.iterations == oracle.iterations
+    for a, b in zip(sol.segments, oracle.segments, strict=True):
+        assert np.array_equal(a.weights, b.weights)
+        assert np.array_equal(a.alpha, b.alpha)
+        assert np.array_equal(a.basis.biases, b.basis.biases)
 
 
 def test_constant_problem_solves_in_one_segment():
