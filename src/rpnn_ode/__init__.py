@@ -1,16 +1,7 @@
 """Random-projection RBF collocation solver for stiff ODE initial-value problems."""
 
-from .basis import RbfSegmentBasis, SeededRng, rbf_dx, rbf_value, sample_basis
-from .collocation import (
-    CollocationGrid,
-    assemble_jacobian,
-    assemble_residual,
-    make_grid,
-    residual_coords,
-    residual_index,
-    weight_coords,
-    weight_index,
-)
+from .basis import RbfSegmentBasis, SeededRng, sample_basis
+from .collocation import CollocationGrid, assemble_jacobian, assemble_residual, make_grid
 from .errors import NumericError, StepUnderflowError
 from .integrators import StepControl, Trajectory, dense_eval, dp45_solve, sdirk_solve
 from .leastnorm import TruncationRule, effective_rank, truncated_pinv_solve
@@ -24,7 +15,7 @@ from .metrics import (
     reference_solution,
     run_benchmark,
 )
-from .problems import BENCHMARK_NAMES, OdeProblem, jacobian_eval, make_benchmark, rhs_eval
+from .problems import BENCHMARK_NAMES, OdeProblem, canonical_name, make_benchmark
 from .serialize import SolutionFormatError, load_solution, save_solution
 from .solver import (
     PiecewiseSolution,
@@ -34,7 +25,7 @@ from .solver import (
     gauss_newton_train,
     solve_adaptive,
 )
-from .trial import SegmentSolution, trial_dw, trial_dx, trial_dxdw, trial_eval
+from .trial import SegmentSolution, trial_dx, trial_eval
 
 __version__ = "0.1.0"
 
@@ -59,6 +50,7 @@ __all__ = [
     "TruncationRule",
     "assemble_jacobian",
     "assemble_residual",
+    "canonical_name",
     "dense_eval",
     "dp45_solve",
     "effective_rank",
@@ -66,27 +58,17 @@ __all__ = [
     "eval_grid_timing",
     "eval_solution",
     "gauss_newton_train",
-    "jacobian_eval",
     "load_solution",
     "make_benchmark",
     "make_grid",
     "metric_grid",
-    "rbf_dx",
-    "rbf_value",
     "reference_solution",
-    "residual_coords",
-    "residual_index",
-    "rhs_eval",
     "run_benchmark",
     "sample_basis",
     "save_solution",
     "sdirk_solve",
     "solve_adaptive",
-    "trial_dw",
     "trial_dx",
-    "trial_dxdw",
     "trial_eval",
     "truncated_pinv_solve",
-    "weight_coords",
-    "weight_index",
 ]

@@ -115,18 +115,6 @@ class RbfSegmentBasis:
         return g, -2.0 * u * self.inv_sq_widths * g
 
 
-def rbf_value(c: float, b: float, inv_sq_width: float, x: float):
-    """Single Gaussian bump exp(-(x + b - c)^2 * inv_sq_width), in (0, 1]."""
-    u = x + b - c
-    return np.exp(-(u * u) * inv_sq_width)
-
-
-def rbf_dx(c: float, b: float, inv_sq_width: float, x: float):
-    """Derivative of :func:`rbf_value` with respect to x."""
-    u = x + b - c
-    return -2.0 * u * inv_sq_width * np.exp(-(u * u) * inv_sq_width)
-
-
 def sample_basis(x_start: float, delta_x: float, h: int, m: int, rng: SeededRng) -> RbfSegmentBasis:
     """Draw a fresh random basis for the interval [x_start, x_start + delta_x].
 

@@ -1,8 +1,10 @@
 """Command-line front end: solve, benchmark, eval.
 
-Exit codes: 0 success, 1 usage/argument error, 2 solver failure, 3 I/O
-failure.  The seed falls back to the RPNN_SEED environment variable when
---seed is not given.
+``solve`` and ``benchmark`` share the library's paths: the solve dispatch,
+timing and error metrics of :mod:`rpnn_ode.metrics`, and the problem names
+and aliases of :func:`rpnn_ode.problems.canonical_name`.  Exit codes: 0
+success, 1 usage/argument error, 2 solver failure, 3 I/O failure.  The seed
+falls back to the RPNN_SEED environment variable when --seed is not given.
 """
 
 from __future__ import annotations
@@ -12,23 +14,22 @@ import csv
 import json
 import os
 import sys
-import time
 
 import numpy as np
 
 from .errors import NumericError, StepUnderflowError
-from .integrators import StepControl, dp45_solve, sdirk_solve
 from .metrics import (
     METHODS,
-    ErrorMetrics,
     RunReport,
     TimingSummary,
+    _solve_cell,
+    _timed,
+    error_metrics,
     report_to_dict,
     run_benchmark,
 )
-from .problems import BENCHMARK_NAMES, make_benchmark
+from .problems import BENCHMARK_NAMES, canonical_name, make_benchmark
 from .serialize import SolutionFormatError, load_solution, save_solution
-from .solver import SolverConfig, solve_adaptive
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -67,7 +68,7 @@ def _build_problem(args):
 def _output_grid(args, x0: float, x_end: float) -> np.ndarray:
     if args.points is not None:
         pts = _parse_points(args.points)
-        if pts.min() < x0 or pts.max() > x_end:
+        if not (pts.min() >= x0 and pts.max() <= x_end):  # NaN fails too
             raise ValueError(f"requested points leave the domain [{x0}, {x_end}]")
         return pts
     return np.linspace(x0, x_end, args.grid_size)
@@ -106,25 +107,11 @@ def _cmd_solve(args) -> int:
     if args.save_solution and args.method != "rpnn":
         raise ValueError("--save-solution only applies to --method rpnn")
 
-    times = []
-    evaluable = n_points = n_segments = None
-    failure = None
-    for rep in range(max(1, args.repeats)):
-        start = time.perf_counter()
-        try:
-            if args.method == "rpnn":
-                sol = solve_adaptive(problem, SolverConfig(tol=args.tol, seed=args.seed))
-                evaluable, n_points, n_segments = sol, sol.total_points, sol.n_segments
-            else:
-                ctrl = StepControl(abs_tol=args.tol, rel_tol=args.tol)
-                traj = dp45_solve(problem, ctrl) if args.method == "dp45" else sdirk_solve(problem, ctrl)
-                evaluable, n_points, n_segments = traj, len(traj.abscissae), traj.n_steps
-        except (StepUnderflowError, NumericError) as exc:
-            failure = exc
-            break
-        times.append(time.perf_counter() - start)
-
-    if failure is not None:
+    try:
+        (evaluable, n_points, n_segments), times = _timed(
+            lambda: _solve_cell(problem, args.method, args.tol, args.seed), args.repeats
+        )
+    except (StepUnderflowError, NumericError) as failure:
         if args.report:
             report = RunReport(problem.name, dict(problem.params), args.method, args.tol,
                                args.seed, None, 0, 0, TimingSummary(0.0, 0.0, 0.0, 0),
@@ -141,18 +128,9 @@ def _cmd_solve(args) -> int:
     if args.report:
         metrics = None
         if problem.analytic is not None:
-            diff = values - problem.analytic(grid)
-            metrics = ErrorMetrics(
-                l2=np.sqrt((diff**2).sum(axis=0)),
-                linf=np.abs(diff).max(axis=0),
-                mae=np.abs(diff).mean(axis=0),
-                grid_size=len(grid),
-            )
-        report = RunReport(
-            problem.name, dict(problem.params), args.method, args.tol, args.seed,
-            metrics, n_points, n_segments,
-            TimingSummary(float(np.median(times)), float(min(times)), float(max(times)), len(times)),
-        )
+            metrics = error_metrics(evaluable, problem.analytic, grid)
+        report = RunReport(problem.name, dict(problem.params), args.method, args.tol,
+                           args.seed, metrics, n_points, n_segments, times)
         _dump_json(args.report, report_to_dict(report))
     return EXIT_OK
 
@@ -163,12 +141,7 @@ def _parse_suite(text: str) -> list[str]:
         raise ValueError("empty --suite selection")
     if "all" in names:
         return list(BENCHMARK_NAMES)
-    aliases = {"pr": "prothero_robinson", "vdp": "van_der_pol"}
-    resolved = [aliases.get(name, name) for name in names]
-    unknown = [name for name in resolved if name not in BENCHMARK_NAMES]
-    if unknown:
-        raise ValueError(f"unknown suite entries: {unknown}")
-    return resolved
+    return [canonical_name(name) for name in names]
 
 
 def _cmd_benchmark(args) -> int:
@@ -178,8 +151,8 @@ def _cmd_benchmark(args) -> int:
     for name in suite:
         if name == "van_der_pol":
             problems.extend(make_benchmark(name, mu=mu) for mu in mu_values)
-        elif name == "prothero_robinson":
-            problems.append(make_benchmark(name, lam=args.lam if args.lam is not None else -1e5))
+        elif name == "prothero_robinson" and args.lam is not None:
+            problems.append(make_benchmark(name, lam=args.lam))
         else:
             problems.append(make_benchmark(name))
     grid_sizes = {name: args.grid_size for name in suite} if args.grid_size else None

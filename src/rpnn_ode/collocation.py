@@ -6,6 +6,10 @@ respect to the flattened weights W[p], p = k*h + j, combines the mixed
 derivative of the trial solution (only on the diagonal component blocks,
 since dpsi_i/dx depends only on component i's weights) with the chain-rule
 coupling through the ODE Jacobian d f_i / d y_k.
+
+Each assembly calls the problem's vectorized ``rhs`` or ``ode_jacobian``
+once, on all n points of the grid, and broadcasts the result to (n, m) or
+(n, m, m).
 """
 
 from __future__ import annotations
@@ -18,16 +22,7 @@ from .errors import NumericError
 from .problems import OdeProblem
 from .trial import SegmentSolution
 
-__all__ = [
-    "CollocationGrid",
-    "make_grid",
-    "assemble_residual",
-    "assemble_jacobian",
-    "residual_index",
-    "residual_coords",
-    "weight_index",
-    "weight_coords",
-]
+__all__ = ["CollocationGrid", "make_grid", "assemble_residual", "assemble_jacobian"]
 
 
 @dataclass(frozen=True)
@@ -69,26 +64,6 @@ def make_grid(x_start: float, delta_x: float, n: int) -> CollocationGrid:
     return CollocationGrid(points)
 
 
-def residual_index(l: int, i: int, n: int) -> int:
-    """Flat residual index of point l, component i (all 0-based)."""
-    return i * n + l
-
-
-def residual_coords(q: int, n: int) -> tuple[int, int]:
-    """Inverse of :func:`residual_index`: (l, i)."""
-    return q % n, q // n
-
-
-def weight_index(j: int, k: int, h: int) -> int:
-    """Flat weight index of node j, component k (all 0-based)."""
-    return k * h + j
-
-
-def weight_coords(p: int, h: int) -> tuple[int, int]:
-    """Inverse of :func:`weight_index`: (j, k)."""
-    return p % h, p // h
-
-
 def _check_dims(problem: OdeProblem, seg: SegmentSolution) -> None:
     if problem.m != seg.basis.m:
         raise ValueError(
@@ -106,10 +81,7 @@ def assemble_residual(problem: OdeProblem, seg: SegmentSolution, grid: Collocati
     n_vals = (g * seg.weights).sum(axis=1)
     psi = seg.alpha + ramp * n_vals
     dpsi = n_vals + ramp * (gx * seg.weights).sum(axis=1)
-    f = np.empty((n, m))
-    for l in range(n):
-        f[l] = problem.rhs(xs[l], psi[l])
-    resid = dpsi - f
+    resid = dpsi - np.broadcast_to(problem.rhs(xs, psi), (n, m))
     if not np.all(np.isfinite(resid)):
         raise NumericError(f"non-finite residual for {problem.name!r} on [{xs[0]}, {xs[-1]}]")
     return resid.T.ravel()
@@ -125,9 +97,7 @@ def assemble_jacobian(problem: OdeProblem, seg: SegmentSolution, grid: Collocati
     psi = seg.alpha + ramp * (g * seg.weights).sum(axis=1)
     dw = ramp[:, :, None] * g  # (n, h, k): d psi_k / d w_jk at x_l
     dxdw = g + ramp[:, :, None] * gx
-    jf = np.empty((n, m, m))
-    for l in range(n):
-        jf[l] = problem.ode_jacobian(xs[l], psi[l])
+    jf = np.broadcast_to(problem.ode_jacobian(xs, psi), (n, m, m))
     # jac[i, l, k, j] = delta_ik * dxdw[l, j, i] - jf[l, i, k] * dw[l, j, k]
     jac = -np.einsum("lik,ljk->ilkj", jf, dw)
     diag = np.arange(m)

@@ -5,6 +5,11 @@ problem's analytic solution when it has one, else a tightly-toleranced
 implicit trajectory.  An "evaluable" is any callable mapping a 1-d
 array of abscissae to a (len(x), m) array of states; piecewise solutions and
 trajectories both satisfy this through their __call__.
+
+Each concern has one function, which the CLI uses as well:
+:func:`_solve_cell` dispatches a solve by method, :func:`_timed` times
+repeated runs, :func:`error_metrics` computes the error norms and
+:func:`reference_solution` chooses the reference.
 """
 
 from __future__ import annotations
@@ -106,7 +111,12 @@ def reference_solution(problem: OdeProblem, tol: float = REFERENCE_TOL) -> Evalu
 
 
 def _timed(fn, repeats: int):
-    """Run fn `repeats` times; returns (first result, TimingSummary)."""
+    """Run fn `repeats` times; returns (first result, TimingSummary).
+
+    Raises ValueError, before the first run, when `repeats` is below 1.
+    """
+    if repeats < 1:
+        raise ValueError(f"need repeats >= 1, got {repeats}")
     result = None
     times = []
     for r in range(repeats):
@@ -121,7 +131,8 @@ def _timed(fn, repeats: int):
     )
 
 
-def _solve_cell(problem: OdeProblem, method: str, tol: float, seed: int, h: int, n: int):
+def _solve_cell(problem: OdeProblem, method: str, tol: float, seed: int,
+                h: int = SolverConfig.h, n: int = SolverConfig.n):
     """Solve with one method; returns (evaluable, n_points, n_segments)."""
     if method == "rpnn":
         sol = solve_adaptive(problem, SolverConfig(h=h, n=n, tol=tol, seed=seed))
@@ -160,7 +171,6 @@ def run_benchmark(
         grid = metric_grid(problem, (grid_sizes or {}).get(problem.name))
         try:
             ref = reference_solution(problem, reference_tol)
-            ref_vals = ref(grid)
         except Exception as exc:  # record, keep going
             for method in methods:
                 reports.append(
@@ -174,16 +184,9 @@ def run_benchmark(
                 (evaluable, n_points, n_segments), times = _timed(
                     lambda: _solve_cell(problem, method, tol, seed, h, n), repeats
                 )
-                diff = np.asarray(evaluable(grid), dtype=float) - ref_vals
-                metrics = ErrorMetrics(
-                    l2=np.sqrt((diff**2).sum(axis=0)),
-                    linf=np.abs(diff).max(axis=0),
-                    mae=np.abs(diff).mean(axis=0),
-                    grid_size=len(grid),
-                )
                 reports.append(
                     RunReport(problem.name, dict(problem.params), method, tol, seed,
-                              metrics, n_points, n_segments, times)
+                              error_metrics(evaluable, ref, grid), n_points, n_segments, times)
                 )
             except Exception as exc:
                 reports.append(

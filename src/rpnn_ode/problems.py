@@ -18,20 +18,26 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import NumericError
-
-RhsFn = Callable[[float, np.ndarray], np.ndarray]
-JacFn = Callable[[float, np.ndarray], np.ndarray]
+RhsFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
+JacFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
 class OdeProblem:
     """First-order system y' = f(x, y) with y(x0) = alpha, posed on [x0, x_end].
 
-    ``rhs`` maps (x, y) to an (m,) vector and ``ode_jacobian`` to the (m, m)
-    matrix of partials d f_i / d y_k.  ``analytic``, when present, maps an
-    array of abscissae to a (len(x), m) array of exact solution values.
-    Instances are immutable and safe to share between threads.
+    ``rhs`` and ``ode_jacobian`` are vectorized over points.  Given abscissae
+    x of shape (k,) and states y of shape (k, m), ``rhs`` returns f at the k
+    points, shape (k, m), and ``ode_jacobian`` the partials d f_i / d y_k,
+    shape (k, m, m).  A scalar x with y of shape (m,) gives (m,) and (m, m);
+    the classical integrators call them that way, one point at a time.  The
+    results only need to broadcast to those shapes, so a callback that does
+    not depend on the point may return a constant such as ``np.eye(m)``.
+    Write components as ``y1, y2 = y.T`` or ``y[..., 0]``: a pointwise-only
+    callback that indexes ``y[i]`` picks a point, not a component, of a
+    block, and is not supported.  ``analytic``, when present, maps an array
+    of abscissae to a (len(x), m) array of exact solution values.  Instances
+    are immutable and safe to share between threads.
     """
 
     name: str
@@ -55,31 +61,19 @@ class OdeProblem:
         object.__setattr__(self, "alpha", alpha)
 
 
-def rhs_eval(problem: OdeProblem, x: float, y: np.ndarray) -> np.ndarray:
-    """Evaluate f(x, y) with shape and finiteness checks."""
-    y = np.asarray(y, dtype=float)
-    if y.shape != (problem.m,):
-        raise ValueError(f"state must have shape ({problem.m},), got {y.shape}")
-    out = np.asarray(problem.rhs(x, y), dtype=float)
-    if out.shape != (problem.m,):
-        raise ValueError(f"rhs returned shape {out.shape}, expected ({problem.m},)")
-    if not np.all(np.isfinite(out)):
-        raise NumericError(f"rhs of {problem.name!r} returned non-finite values at x={x}")
-    return out
+# The built-in problems combine components as np.array([...]).T, which on a
+# single point is a plain (m,) array.  numpy computes ``y ** 2`` with libm
+# ``pow`` on a single point and as ``y * y`` on a block; the two may differ in
+# the last bit, so block and single-point values of van der Pol and ROBER
+# agree to rounding, not bit for bit.  Keep ``y ** 2``: writing ``y * y``
+# would change the single-point values, and with them the last bits of every
+# sdirk and dp45 trajectory.
 
 
-def jacobian_eval(problem: OdeProblem, x: float, y: np.ndarray) -> np.ndarray:
-    """Evaluate the (m, m) matrix d f_i / d y_k with shape and finiteness checks."""
-    y = np.asarray(y, dtype=float)
-    if y.shape != (problem.m,):
-        raise ValueError(f"state must have shape ({problem.m},), got {y.shape}")
-    out = np.asarray(problem.ode_jacobian(x, y), dtype=float)
-    if out.shape != (problem.m, problem.m):
-        raise ValueError(
-            f"ode_jacobian returned shape {out.shape}, expected ({problem.m}, {problem.m})"
-        )
-    if not np.all(np.isfinite(out)):
-        raise NumericError(f"ode_jacobian of {problem.name!r} returned non-finite values at x={x}")
+def _jacobian_block(template: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """A fresh copy of the constant (m, m) part of a Jacobian for each point of y."""
+    out = np.empty(y.shape[:-1] + template.shape)
+    out[...] = template
     return out
 
 
@@ -88,7 +82,8 @@ def _prothero_robinson(lam: float) -> OdeProblem:
         raise ValueError(f"lambda must be finite and negative, got {lam}")
 
     def rhs(x, y):
-        return np.array([lam * (y[0] - math.sin(x)) + math.cos(x)])
+        (y1,) = y.T
+        return np.array([lam * (y1 - np.sin(x)) + np.cos(x)]).T
 
     def jac(x, y):
         return np.array([[lam]])
@@ -112,17 +107,18 @@ def _prothero_robinson(lam: float) -> OdeProblem:
 def _van_der_pol(mu: float) -> OdeProblem:
     if not 0 < mu < math.inf:
         raise ValueError(f"mu must be finite and positive, got {mu}")
+    template = np.array([[0.0, 1.0], [0.0, 0.0]])
 
     def rhs(x, y):
-        return np.array([y[1], mu * (1.0 - y[0] ** 2) * y[1] - y[0]])
+        y1, y2 = y.T
+        return np.array([y2, mu * (1.0 - y1 ** 2) * y2 - y1]).T
 
     def jac(x, y):
-        return np.array(
-            [
-                [0.0, 1.0],
-                [-2.0 * mu * y[0] * y[1] - 1.0, mu * (1.0 - y[0] ** 2)],
-            ]
-        )
+        y1, y2 = y.T
+        J = _jacobian_block(template, y)
+        J[..., 1, 0] = -2.0 * mu * y1 * y2 - 1.0
+        J[..., 1, 1] = mu * (1.0 - y1 ** 2)
+        return J
 
     # Interval spans roughly three relaxation periods T ~ mu*(3 - 2*ln 2);
     # the mildly stiff mu=1 case conventionally uses [0, 30] instead.
@@ -141,21 +137,22 @@ def _van_der_pol(mu: float) -> OdeProblem:
 
 def _rober() -> OdeProblem:
     k1, k2, k3 = 0.04, 1.0e4, 3.0e7
+    template = np.array([[-k1, 0.0, 0.0], [k1, 0.0, 0.0], [0.0, 0.0, 0.0]])
 
     def rhs(x, y):
-        r1 = k1 * y[0]
-        r2 = k2 * y[1] * y[2]
-        r3 = k3 * y[1] ** 2
-        return np.array([-r1 + r2, r1 - r2 - r3, r3])
+        y1, y2, y3 = y.T
+        r1 = k1 * y1
+        r2 = k2 * y2 * y3
+        r3 = k3 * y2 ** 2
+        return np.array([-r1 + r2, r1 - r2 - r3, r3]).T
 
     def jac(x, y):
-        return np.array(
-            [
-                [-k1, k2 * y[2], k2 * y[1]],
-                [k1, -k2 * y[2] - 2.0 * k3 * y[1], -k2 * y[1]],
-                [0.0, 2.0 * k3 * y[1], 0.0],
-            ]
-        )
+        _, y2, y3 = y.T
+        J = _jacobian_block(template, y)
+        J[..., 0, 1], J[..., 0, 2] = k2 * y3, k2 * y2
+        J[..., 1, 1], J[..., 1, 2] = -k2 * y3 - 2.0 * k3 * y2, -k2 * y2
+        J[..., 2, 1] = 2.0 * k3 * y2
+        return J
 
     return OdeProblem(
         name="rober",
@@ -170,8 +167,17 @@ def _rober() -> OdeProblem:
 
 
 def _hires() -> OdeProblem:
+    template = np.zeros((8, 8))
+    template[0, 0], template[0, 1], template[0, 2] = -1.71, 0.43, 8.32
+    template[1, 0], template[1, 1] = 1.71, -8.75
+    template[2, 2], template[2, 3], template[2, 4] = -10.03, 0.43, 0.035
+    template[3, 1], template[3, 2], template[3, 3] = 8.32, 1.71, -1.12
+    template[4, 4], template[4, 5], template[4, 6] = -1.745, 0.43, 0.43
+    template[5, 3], template[5, 4], template[5, 6] = 0.69, 1.71, 0.69
+    template[6, 6], template[7, 6] = -1.81, 1.81
+
     def rhs(x, y):
-        y1, y2, y3, y4, y5, y6, y7, y8 = y
+        y1, y2, y3, y4, y5, y6, y7, y8 = y.T
         return np.array(
             [
                 -1.71 * y1 + 0.43 * y2 + 8.32 * y3 + 0.0007,
@@ -183,20 +189,14 @@ def _hires() -> OdeProblem:
                 280.0 * y6 * y8 - 1.81 * y7,
                 -280.0 * y6 * y8 + 1.81 * y7,
             ]
-        )
+        ).T
 
     def jac(x, y):
-        y6, y8 = y[5], y[7]
-        J = np.zeros((8, 8))
-        J[0, 0], J[0, 1], J[0, 2] = -1.71, 0.43, 8.32
-        J[1, 0], J[1, 1] = 1.71, -8.75
-        J[2, 2], J[2, 3], J[2, 4] = -10.03, 0.43, 0.035
-        J[3, 1], J[3, 2], J[3, 3] = 8.32, 1.71, -1.12
-        J[4, 4], J[4, 5], J[4, 6] = -1.745, 0.43, 0.43
-        J[5, 3], J[5, 4] = 0.69, 1.71
-        J[5, 5], J[5, 6], J[5, 7] = -280.0 * y8 - 0.43, 0.69, -280.0 * y6
-        J[6, 5], J[6, 6], J[6, 7] = 280.0 * y8, -1.81, 280.0 * y6
-        J[7, 5], J[7, 6], J[7, 7] = -280.0 * y8, 1.81, -280.0 * y6
+        y6, y8 = y.T[5], y.T[7]
+        J = _jacobian_block(template, y)
+        J[..., 5, 5], J[..., 5, 7] = -280.0 * y8 - 0.43, -280.0 * y6
+        J[..., 6, 5], J[..., 6, 7] = 280.0 * y8, 280.0 * y6
+        J[..., 7, 5], J[..., 7, 7] = -280.0 * y8, -280.0 * y6
         return J
 
     return OdeProblem(
@@ -210,14 +210,7 @@ def _hires() -> OdeProblem:
     )
 
 
-_ALIASES = {
-    "prothero_robinson": "prothero_robinson",
-    "pr": "prothero_robinson",
-    "van_der_pol": "van_der_pol",
-    "vdp": "van_der_pol",
-    "rober": "rober",
-    "hires": "hires",
-}
+_ALIASES = {"pr": "prothero_robinson", "vdp": "van_der_pol"}
 
 BENCHMARK_NAMES = ("prothero_robinson", "van_der_pol", "rober", "hires")
 
@@ -225,16 +218,27 @@ DEFAULT_LAMBDA = -1.0e5
 DEFAULT_MU = 1000.0
 
 
+def canonical_name(name: str) -> str:
+    """Full name of a benchmark problem given its name or alias, any case.
+
+    ``"pr"`` and ``"vdp"`` stand for ``prothero_robinson`` and
+    ``van_der_pol``.  Unknown names raise ValueError.
+    """
+    key = str(name).lower()
+    key = _ALIASES.get(key, key)
+    if key not in BENCHMARK_NAMES:
+        raise ValueError(f"unknown benchmark problem {name!r}; choose from {BENCHMARK_NAMES}")
+    return key
+
+
 def make_benchmark(name: str, **params) -> OdeProblem:
-    """Build one of the four benchmark problems by name.
+    """Build one of the four benchmark problems by name or alias.
 
     ``prothero_robinson`` accepts ``lam`` (default -1e5, must be negative) and
     ``van_der_pol`` accepts ``mu`` (default 1000, must be positive); the other
     problems take no parameters.  Unknown names or parameters raise ValueError.
     """
-    key = _ALIASES.get(str(name).lower())
-    if key is None:
-        raise ValueError(f"unknown benchmark problem {name!r}; choose from {BENCHMARK_NAMES}")
+    key = canonical_name(name)
     if key == "prothero_robinson":
         lam = params.pop("lam", DEFAULT_LAMBDA)
         _reject_extra(key, params)

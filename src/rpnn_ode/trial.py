@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import RbfSegmentBasis, rbf_dx, rbf_value
+from .basis import RbfSegmentBasis
 
 _BLOCK_VALUES = 1 << 16  # scratch values per block: 512 KiB of float64
 
@@ -125,29 +125,3 @@ def trial_dx(seg: SegmentSolution, x) -> np.ndarray:
     if xs.ndim == 0:
         return _combine(seg, xs[None], derivative=True)[0]
     return _combine(seg, xs, derivative=True)
-
-
-def _check_indices(seg: SegmentSolution, j: int, i: int) -> None:
-    if not (0 <= j < seg.basis.h and 0 <= i < seg.basis.m):
-        raise ValueError(
-            f"index out of range: j={j}, i={i} for h={seg.basis.h}, m={seg.basis.m}"
-        )
-
-
-def trial_dw(seg: SegmentSolution, x: float, j: int, i: int) -> float:
-    """d psi_i / d w_ji at x (0-based node j, component i).
-
-    Linear in the weights, so the value is independent of the current weights.
-    """
-    _check_indices(seg, j, i)
-    b = seg.basis
-    g = rbf_value(b.centers[j], b.biases[j, i], b.inv_sq_widths[j, i], x)
-    return (x - seg.x_start) * g
-
-
-def trial_dxdw(seg: SegmentSolution, x: float, j: int, i: int) -> float:
-    """Mixed derivative d^2 psi_i / (dx dw_ji) at x (0-based indices)."""
-    _check_indices(seg, j, i)
-    b = seg.basis
-    c, bias, isw = b.centers[j], b.biases[j, i], b.inv_sq_widths[j, i]
-    return rbf_value(c, bias, isw, x) + (x - seg.x_start) * rbf_dx(c, bias, isw, x)

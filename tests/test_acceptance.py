@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 
+from oracles import weight_index
 from rpnn_ode import (
     SeededRng,
     SegmentSolution,
@@ -29,7 +30,6 @@ from rpnn_ode import (
     sdirk_solve,
     solve_adaptive,
     truncated_pinv_solve,
-    weight_index,
 )
 
 SEED = 0

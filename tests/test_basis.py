@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import fd_scalar
-from rpnn_ode import RbfSegmentBasis, SeededRng, rbf_dx, rbf_value, sample_basis
+from oracles import rbf_dx, rbf_value
+from rpnn_ode import RbfSegmentBasis, SeededRng, sample_basis
 
 
 def test_rng_determinism_and_range():

@@ -1,11 +1,15 @@
 import csv
+import dataclasses
 import json
 import math
 
 import numpy as np
+import pytest
 
+import rpnn_ode.cli as cli_module
 from rpnn_ode import SolverConfig, eval_solution, load_solution, make_benchmark, solve_adaptive
-from rpnn_ode.cli import main
+from rpnn_ode.cli import _parse_suite, main
+from rpnn_ode.problems import DEFAULT_LAMBDA
 
 
 def read_csv(path):
@@ -193,3 +197,66 @@ def test_benchmark_rober_collocation_beats_explicit(tmp_path):
         for comp in ("y1", "y2", "y3"):
             col = header.index(f"{metric}_{comp}")
             assert float(by_method["rpnn"][col]) < float(by_method["dp45"][col])
+
+
+@pytest.fixture
+def solver_calls(monkeypatch):
+    """Record every rhs call of the problems the CLI builds: any solve makes some."""
+    calls = []
+
+    def build(name, **params):
+        problem = make_benchmark(name, **params)
+
+        def rhs(x, y):
+            calls.append(x)
+            return problem.rhs(x, y)
+
+        return dataclasses.replace(problem, rhs=rhs)
+
+    monkeypatch.setattr(cli_module, "make_benchmark", build)
+    return calls
+
+
+@pytest.mark.parametrize("points", ["0,nan", "nan", "nan,1.0"])
+def test_solve_points_with_nan_fail_before_solving(tmp_path, solver_calls, points):
+    assert main(["solve", "--problem", "pr", "--points", points,
+                 "--out", str(tmp_path / "x.csv")]) == 1
+    assert solver_calls == []
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("repeats", ["0", "-3"])
+def test_solve_rejects_repeats_below_one(tmp_path, solver_calls, repeats):
+    assert main(["solve", "--problem", "pr", "--repeats", repeats,
+                 "--report", str(tmp_path / "r.json")]) == 1
+    assert solver_calls == []
+
+
+def test_solve_repeats_are_timed(tmp_path):
+    report = tmp_path / "r.json"
+    assert main(["solve", "--problem", "pr", "--tol", "1e-3", "--repeats", "3",
+                 "--report", str(report)]) == 0
+    times = json.loads(report.read_text())["times"]
+    assert times["repeats"] == 3
+    assert 0 < times["min"] <= times["median"] <= times["max"]
+
+
+def test_suite_names_resolve_like_make_benchmark():
+    assert _parse_suite("pr, VDP,rober,Hires") == [
+        "prothero_robinson", "van_der_pol", "rober", "hires"]
+    assert _parse_suite("rober,all") == ["prothero_robinson", "van_der_pol", "rober", "hires"]
+
+
+def test_benchmark_passes_lambda_only_when_given(tmp_path, monkeypatch):
+    seen = []
+
+    def fake_run_benchmark(problems, **kwargs):
+        seen.append([dict(p.params) for p in problems])
+        return []
+
+    monkeypatch.setattr(cli_module, "run_benchmark", fake_run_benchmark)
+    out = str(tmp_path / "s.csv")
+    main(["benchmark", "--suite", "pr", "--out", out, "--report-dir", str(tmp_path)])
+    main(["benchmark", "--suite", "pr", "--lambda", "-50", "--out", out,
+          "--report-dir", str(tmp_path)])
+    assert seen == [[{"lambda": DEFAULT_LAMBDA}], [{"lambda": -50.0}]]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import residual_coords, residual_index, weight_coords, weight_index
 from rpnn_ode import (
     CollocationGrid,
     NumericError,
@@ -11,11 +12,7 @@ from rpnn_ode import (
     assemble_residual,
     make_benchmark,
     make_grid,
-    residual_coords,
-    residual_index,
     sample_basis,
-    weight_coords,
-    weight_index,
 )
 
 

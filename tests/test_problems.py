@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import fd_jacobian
-from rpnn_ode import NumericError, jacobian_eval, make_benchmark, rhs_eval
+from oracles import jacobian_eval, rhs_eval
+from rpnn_ode import BENCHMARK_NAMES, NumericError, canonical_name, make_benchmark
 
 
 def test_van_der_pol_rhs_example():
@@ -174,3 +175,15 @@ def test_problem_domain_must_be_finite(x0, x_end):
     with pytest.raises(ValueError):
         OdeProblem(name="b", m=1, x0=x0, x_end=x_end, alpha=np.array([0.0]),
                    rhs=lambda x, y: y, ode_jacobian=lambda x, y: np.eye(1))
+
+
+def test_canonical_name_resolves_aliases_and_case():
+    for alias, name in (("pr", "prothero_robinson"), ("VDP", "van_der_pol"),
+                        ("Rober", "rober"), ("HIRES", "hires")):
+        assert canonical_name(alias) == name
+        assert make_benchmark(alias).name == name
+    for name in BENCHMARK_NAMES:
+        assert canonical_name(name) == name
+    for bad in ("lorenz", "", "all"):
+        with pytest.raises(ValueError):
+            canonical_name(bad)

@@ -5,14 +5,13 @@ import pytest
 
 import rpnn_ode.trial as trial_module
 from conftest import fd_scalar
+from oracles import trial_dw, trial_dxdw
 from rpnn_ode import (
     RbfSegmentBasis,
     SeededRng,
     SegmentSolution,
     sample_basis,
-    trial_dw,
     trial_dx,
-    trial_dxdw,
     trial_eval,
 )
 
