@@ -92,6 +92,9 @@ class RbfSegmentBasis:
             raise ValueError(f"biases must have shape ({self.h}, {self.m})")
         if self.inv_sq_widths.shape != (self.h, self.m):
             raise ValueError(f"inv_sq_widths must have shape ({self.h}, {self.m})")
+        params = (self.x_start, self.width, self.centers, self.biases, self.inv_sq_widths)
+        if not all(np.all(np.isfinite(v)) for v in params):
+            raise ValueError("x_start, width, centers, biases and inv_sq_widths must be finite")
         if not np.all(self.inv_sq_widths > 0):
             raise ValueError("inverse squared widths must be strictly positive")
 

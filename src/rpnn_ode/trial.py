@@ -55,6 +55,8 @@ class SegmentSolution:
             raise ValueError(f"alpha must have shape ({m},), got {self.alpha.shape}")
         if self.weights.shape != (h, m):
             raise ValueError(f"weights must have shape ({h}, {m}), got {self.weights.shape}")
+        if not (np.all(np.isfinite(self.alpha)) and np.all(np.isfinite(self.weights))):
+            raise ValueError("alpha and weights must be finite")
         if not self.x_stop > self.x_start:
             raise ValueError(f"x_stop {self.x_stop} must exceed x_start {self.x_start}")
         if abs((self.x_stop - self.x_start) - self.basis.width) > 1e-9 * self.basis.width:

@@ -119,6 +119,22 @@ def test_eval_malformed_solution_exits_3(tmp_path):
     assert main(["eval", "--solution", str(missing)]) == 3
 
 
+@pytest.mark.parametrize("field, value", [
+    ("weights", math.nan), ("alpha", math.nan), ("biases", math.inf),
+])
+def test_eval_non_finite_solution_exits_3(tmp_path, field, value):
+    sol_path = tmp_path / "rober.json"
+    assert main(["solve", "--problem", "rober", "--tol", "1e-3", "--seed", "5",
+                 "--save-solution", str(sol_path)]) == 0
+    data = json.loads(sol_path.read_text())
+    row = data["segments"][0][field]
+    if isinstance(row[0], list):
+        row = row[0]
+    row[0] = value
+    sol_path.write_text(json.dumps(data))
+    assert main(["eval", "--solution", str(sol_path), "--grid-size", "10"]) == 3
+
+
 def test_solve_io_failure_exits_3(tmp_path):
     assert main(["solve", "--problem", "pr", "--tol", "1e-3",
                  "--out", str(tmp_path / "no_such_dir" / "x.csv")]) == 3

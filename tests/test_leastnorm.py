@@ -101,3 +101,22 @@ def test_input_validation():
         truncated_pinv_solve(np.eye(3), np.zeros(2))
     with pytest.raises(ValueError):
         truncated_pinv_solve(np.zeros(3), np.zeros(3))
+
+
+def test_wrong_shaped_rhs_rejected_before_the_svd(monkeypatch):
+    def no_svd(*args, **kwargs):
+        raise AssertionError("the SVD ran before b was checked")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    with pytest.raises(ValueError, match="b must have shape"):
+        truncated_pinv_solve(np.eye(4), np.ones(3))
+    with pytest.raises(ValueError, match="b must have shape"):
+        truncated_pinv_solve(np.eye(4), np.ones((4, 1)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_rhs_rejected(bad):
+    b = np.array([1.0, 0.0, 0.0, 0.0])
+    b[1] = bad
+    with pytest.raises(NumericError, match="right-hand side"):
+        truncated_pinv_solve(np.eye(4), b)

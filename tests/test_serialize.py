@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -62,3 +63,27 @@ def test_malformed_inputs_rejected(tmp_path, rober_solution):
     del data["segments"][0]["weights"]
     with pytest.raises(SolutionFormatError):
         solution_from_dict(data)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("weights", math.nan),
+    ("alpha", math.nan),
+    ("biases", math.inf),
+    ("centers", math.nan),
+    ("inv_sq_widths", math.inf),
+    ("width", math.inf),
+])
+def test_non_finite_parameters_rejected_on_load(tmp_path, rober_solution, field, value):
+    data = solution_to_dict(rober_solution)
+    raw = data["segments"][1]
+    if isinstance(raw[field], list):
+        target = raw[field]
+        while isinstance(target[0], list):
+            target = target[0]
+        target[0] = value
+    else:
+        raw[field] = value
+    path = tmp_path / "non_finite.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(SolutionFormatError, match="finite"):
+        load_solution(path)
