@@ -5,11 +5,12 @@ residuals) and often numerically rank deficient, so the step is computed as
 the minimum-2-norm solution of the least-squares problem restricted to the
 singular directions above a cutoff.
 
-The SVD of a matrix whose smaller side is at most ``_PIN_MAX_DIM`` runs with
-OpenBLAS limited to one thread.  These SVDs are most of a solve's time, and
-at these sizes OpenBLAS's thread start-up and synchronisation cost more than
-the second core gains.  Median thin SVD of r x 2r on a 2-vCPU x86-64 machine
-(numpy 2.4, OpenBLAS 0.3.31), default threads -> one thread:
+Every SVD here runs with OpenBLAS limited to one thread.  These SVDs are
+most of a solve's time, and at the Gauss-Newton sizes of the default
+``SolverConfig`` (smaller side at most 160 on the benchmark problems)
+OpenBLAS's thread start-up and synchronisation cost more than the second
+core gains.  Median thin SVD of r x 2r on a 2-vCPU x86-64 machine (numpy 2.4,
+OpenBLAS 0.3.31), default threads -> one thread:
 
     ======== ============== ===============
     r x 2r   default (ms)   one thread (ms)
@@ -18,26 +19,32 @@ the second core gains.  Median thin SVD of r x 2r on a 2-vCPU x86-64 machine
     160x320  20.1           12.5
     320x640  78             62
     480x960  204            164
-    960x1920 1061           1119
     ======== ============== ===============
 
-Above the cut-off threading wins, so larger matrices run with the caller's
-thread count, exactly as without the pin.  The pin leaves every result bit
-for bit the same: OpenBLAS splits a threaded kernel by blocks of its output,
-and each output entry is summed in the same order whichever thread computes
-it.  The caller's thread count is restored on exit, also when the SVD raises,
-and also when several Python threads solve at once: the first to enter saves
-the count, the last to leave restores it, and in between every BLAS call of
-the process runs on one thread.  Changing the BLAS thread count from another
-Python thread while a solve runs is not supported: the solve would put back
-the count it found.
+Much larger matrices can be faster on several threads (20000x200: 395 ms on
+two, 550 ms on one); no benchmark workload makes them, so they are pinned too.
+
+On HIRES, ROBER, van der Pol (mu=100) and Prothero-Robinson (lam=-1e5) at
+the default ``SolverConfig``, seeds 0-2, the pinned solve gives bit for bit
+the weights of a solve on two threads (pthreads scipy-openblas64 build,
+checked in ``tests/test_blas_threads.py``).  That does not hold for every
+matrix: threaded OpenBLAS may split a sum across threads, and a 320x640 or a
+20000x200 SVD on two threads differs from the one-thread result in the last
+bits.  With the pin, an SVD's result does not depend on the caller's thread
+count.  The caller's thread count is restored on exit, also when the SVD
+raises, and also when several Python threads solve at once: the first to
+enter saves the count, the last to leave restores it, and in between every
+BLAS call of the process runs on one thread.  Changing the BLAS thread
+count from another Python thread while a solve runs is not supported: the
+solve would put back the count it found.
 
 The thread controls are looked up on the first SVD, never at import, through
 the extension module that implements ``np.linalg.svd``: the dynamic linker
 resolves a symbol through a library's handle by searching the library and its
 dependencies, so this finds exactly the BLAS numpy calls, even when another
 package has loaded an OpenBLAS of its own.  When numpy is not built on
-OpenBLAS (MKL, Accelerate) nothing is found and every SVD runs unpinned.
+OpenBLAS (MKL, Accelerate) nothing is found and every SVD runs on the
+caller's threads.
 """
 
 from __future__ import annotations
@@ -53,9 +60,6 @@ import numpy as np
 from .errors import NumericError
 
 _EPS = float(np.finfo(np.float64).eps)
-
-# Largest min(rows, cols) whose SVD runs on one BLAS thread (table above).
-_PIN_MAX_DIM = 480
 
 # (get, set) thread-count symbols, by OpenBLAS build: the scipy-openblas
 # wheels numpy ships with (64-bit and 32-bit integers), then plain OpenBLAS.
@@ -159,10 +163,9 @@ def _as_matrix(a) -> np.ndarray:
 
 
 def _svd(a: np.ndarray):
-    """Thin SVD of a checked matrix, on one BLAS thread when it is small."""
-    pin = _one_blas_thread() if min(a.shape) <= _PIN_MAX_DIM else contextlib.nullcontext()
+    """Thin SVD of a checked matrix, on one BLAS thread."""
     try:
-        with pin:
+        with _one_blas_thread():
             return np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"SVD failed: {exc}") from exc

