@@ -10,7 +10,6 @@ from .metrics import (
     RunReport,
     TimingSummary,
     error_metrics,
-    eval_grid_timing,
     metric_grid,
     reference_solution,
     run_benchmark,
@@ -25,7 +24,7 @@ from .solver import (
     gauss_newton_train,
     solve_adaptive,
 )
-from .trial import SegmentSolution, trial_dx, trial_eval
+from .trial import SegmentSolution, trial_eval
 
 __version__ = "0.1.0"
 
@@ -55,7 +54,6 @@ __all__ = [
     "dp45_solve",
     "effective_rank",
     "error_metrics",
-    "eval_grid_timing",
     "eval_solution",
     "gauss_newton_train",
     "load_solution",
@@ -68,7 +66,6 @@ __all__ = [
     "save_solution",
     "sdirk_solve",
     "solve_adaptive",
-    "trial_dx",
     "trial_eval",
     "truncated_pinv_solve",
 ]

@@ -14,6 +14,7 @@ import csv
 import json
 import os
 import sys
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -21,7 +22,6 @@ from .errors import NumericError, StepUnderflowError
 from .metrics import (
     METHODS,
     RunReport,
-    TimingSummary,
     _solve_cell,
     _timed,
     error_metrics,
@@ -75,30 +75,18 @@ def _output_grid(args, x0: float, x_end: float) -> np.ndarray:
 
 
 def _write_table(path, grid: np.ndarray, values: np.ndarray, fmt: str) -> None:
-    m = values.shape[1]
-    if fmt == "json":
-        payload = {
-            "schema_version": 1,
-            "columns": ["t"] + [f"y{i + 1}" for i in range(m)],
-            "rows": [[float(t)] + [float(v) for v in row] for t, row in zip(grid, values)],
-        }
-        text = json.dumps(payload) + "\n"
-        if path is None:
-            sys.stdout.write(text)
+    """Write t and y1..ym as csv or json to path, or to stdout when path is None."""
+    columns = ["t"] + [f"y{i + 1}" for i in range(values.shape[1])]
+    sink = nullcontext(sys.stdout) if path is None else open(path, "w", newline="", encoding="utf-8")
+    with sink as fh:
+        if fmt == "json":
+            rows = [[float(t)] + [float(v) for v in row] for t, row in zip(grid, values)]
+            json.dump({"schema_version": 1, "columns": columns, "rows": rows}, fh)
+            fh.write("\n")
         else:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        return
-    rows = ([_fmt(t)] + [_fmt(v) for v in row] for t, row in zip(grid, values))
-    if path is None:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["t"] + [f"y{i + 1}" for i in range(m)])
-        writer.writerows(rows)
-    else:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["t"] + [f"y{i + 1}" for i in range(m)])
-            writer.writerows(rows)
+            writer.writerow(columns)
+            writer.writerows([_fmt(t)] + [_fmt(v) for v in row] for t, row in zip(grid, values))
 
 
 def _cmd_solve(args) -> int:
@@ -113,9 +101,7 @@ def _cmd_solve(args) -> int:
         )
     except (StepUnderflowError, NumericError) as failure:
         if args.report:
-            report = RunReport(problem.name, dict(problem.params), args.method, args.tol,
-                               args.seed, None, 0, 0, TimingSummary(0.0, 0.0, 0.0, 0),
-                               "error", str(failure))
+            report = RunReport.failed(problem, args.method, args.tol, args.seed, str(failure))
             _dump_json(args.report, report_to_dict(report))
         print(f"error: solver failed: {failure}", file=sys.stderr)
         return EXIT_SOLVER

@@ -18,11 +18,22 @@ Two methods are provided:
   direction, which the iteration itself corrects.  At tight tolerances this
   serves as the reference trajectory generator.
 
+Both run in one step loop, :func:`_integrate`, as in the MATLAB ODE suite
+(Shampine & Reichelt 1997): step-size control needs only a method's error
+estimate and order (Hairer, Norsett & Wanner, Solving ODEs I, II.4).  Each
+method supplies only its step attempt.  The loop owns everything else: the
+start-up rhs check and starting step, the step budget, the underflow check,
+clamping to x_end, and the accept/reject rule.  A step is accepted when the
+mixed norm max_i |err_i| / (abs_tol + rel_tol * max(|y_i|, |y_new_i|)) is at
+most 1, and the next step is h * min(max_factor, max(min_factor,
+0.9 * err^(-1/order))), never growing after a rejection.  A step that fails
+outright (a non-finite stage or error, a Newton iteration that does not
+converge, a singular iteration matrix) shrinks h by min_factor.
+
 Both record the state and its derivative at every accepted point for dense
 output through :func:`dense_eval`: dp45 trajectories additionally carry the
 pair's quartic continuous extension, while implicit trajectories interpolate
-with cubic Hermite on their (smaller) steps.  Step acceptance uses the mixed
-norm max_i |err_i| / (abs_tol + rel_tol * |y_i|).
+with cubic Hermite on their (smaller) steps.
 """
 
 from __future__ import annotations
@@ -116,6 +127,7 @@ _SD_BHAT = np.array([59 / 48, -17 / 96, 225 / 32, -85 / 12, 0.0])
 _SD_E = _SD_B - _SD_BHAT
 
 _MAX_NEWTON = 12
+_SAFETY = 0.9  # the controller aims at 0.9 of the step the error estimate allows
 
 
 @dataclass(frozen=True)
@@ -124,17 +136,18 @@ class StepControl:
 
     abs_tol: float
     rel_tol: float
-    safety: float = 0.9
     min_factor: float = 0.2
     max_factor: float = 5.0
     initial_step: float | None = None
     max_steps: int = 5_000_000
 
     def __post_init__(self):
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise ValueError("tolerances must be positive")
+        if not (0 < self.abs_tol < np.inf and 0 < self.rel_tol < np.inf):
+            raise ValueError("tolerances must be positive and finite")
         if not 0 < self.min_factor <= self.max_factor:
             raise ValueError("need 0 < min_factor <= max_factor")
+        if self.initial_step is not None and not 0 < self.initial_step < np.inf:
+            raise ValueError(f"initial_step must be positive and finite, got {self.initial_step}")
 
 
 @dataclass(frozen=True)
@@ -202,20 +215,26 @@ def _check_underflow(h: float, x: float, span: float) -> None:
 def _grow_factor(err: float, ctrl: StepControl, inv_order: float) -> float:
     if err == 0.0:
         return ctrl.max_factor
-    return min(ctrl.max_factor, max(ctrl.min_factor, ctrl.safety * err**-inv_order))
+    return min(ctrl.max_factor, max(ctrl.min_factor, _SAFETY * err**-inv_order))
 
 
-def dp45_solve(problem: OdeProblem, ctrl: StepControl) -> Trajectory:
-    """Integrate with the explicit Dormand-Prince 5(4) pair."""
+def _integrate(problem: OdeProblem, ctrl: StepControl, order: int, attempt) -> Trajectory:
+    """The adaptive step loop; ``attempt(x, y, f, h)`` is the method's step.
+
+    The attempt returns None when the step failed outright, or
+    ``(y_new, err, accept)`` with err the scaled error norm.  On acceptance
+    (err <= 1) ``accept(x_new)`` returns f at the new point and the step's
+    dense-output block, or None for a method without one.
+    """
     x, y = problem.x0, problem.alpha.copy()
     f = np.asarray(problem.rhs(x, y), dtype=float)
     if not np.isfinite(f).all():
         raise NumericError(f"rhs not finite at the initial point of {problem.name!r}")
     span = problem.x_end - problem.x0
-    h = _initial_step(problem, f, ctrl, order=5)
-    xs, ys, fs, ext = [x], [y.copy()], [f.copy()], []
+    h = _initial_step(problem, f, ctrl, order)
+    inv_order = 1.0 / order
+    xs, ys, fs, blocks = [x], [y.copy()], [f.copy()], []
     n_steps = n_rejected = 0
-    k = np.empty((7, problem.m))
     while x < problem.x_end:
         if n_steps + n_rejected >= ctrl.max_steps:
             raise StepUnderflowError(
@@ -224,36 +243,49 @@ def dp45_solve(problem: OdeProblem, ctrl: StepControl) -> Trajectory:
         _check_underflow(h, x, span)
         h = min(h, problem.x_end - x)
         last = h >= problem.x_end - x
+        step = attempt(x, y, f, h)
+        if step is None:
+            n_rejected += 1
+            h *= ctrl.min_factor
+            continue
+        y_new, err, accept = step
+        if err > 1.0:
+            n_rejected += 1
+            h *= min(1.0, _grow_factor(err, ctrl, inv_order))
+            continue
+        x = problem.x_end if last else x + h
+        y = y_new
+        f, block = accept(x)
+        xs.append(x)
+        ys.append(y.copy())
+        fs.append(f.copy())
+        if block is not None:
+            blocks.append(block)
+        n_steps += 1
+        h *= _grow_factor(err, ctrl, inv_order)
+    return Trajectory(np.array(xs), np.array(ys), np.array(fs), n_steps, n_rejected,
+                      extension=np.array(blocks) if blocks else None)
+
+
+def dp45_solve(problem: OdeProblem, ctrl: StepControl) -> Trajectory:
+    """Integrate with the explicit Dormand-Prince 5(4) pair."""
+    k = np.empty((7, problem.m))
+
+    def attempt(x, y, f, h):
         k[0] = f
-        finite = True
         for s in range(1, 7):
             y_stage = y + h * (_DP_A[s - 1] @ k[:s])
             k[s] = problem.rhs(x + _DP_C[s] * h, y_stage)
             if not np.isfinite(k[s]).all():
-                finite = False
-                break
-        if finite:
-            y_new = y + h * (_DP_B @ k)
-            err = _scaled_error(h * (_DP_E @ k), y, y_new, ctrl)
-            finite = np.isfinite(err) and np.isfinite(y_new).all()
-        if finite and err <= 1.0:
-            x = problem.x_end if last else x + h
-            y = y_new
-            f = k[6].copy()  # FSAL: stage 7 is the rhs at the accepted point
-            xs.append(x)
-            ys.append(y.copy())
-            fs.append(f.copy())
-            ext.append(_DP_DENSE.T @ k)  # (4, m) dense coefficients
-            n_steps += 1
-            h *= _grow_factor(err, ctrl, 0.2)
-        else:
-            n_rejected += 1
-            if not finite:
-                h *= ctrl.min_factor
-            else:
-                h *= min(1.0, _grow_factor(err, ctrl, 0.2))
-    return Trajectory(np.array(xs), np.array(ys), np.array(fs), n_steps, n_rejected,
-                      extension=np.array(ext))
+                return None
+        y_new = y + h * (_DP_B @ k)
+        err = _scaled_error(h * (_DP_E @ k), y, y_new, ctrl)
+        if not (np.isfinite(err) and np.isfinite(y_new).all()):
+            return None
+        # FSAL: stage 7 is the rhs at the accepted point
+        return y_new, err, lambda x_new: (k[6].copy(), _DP_DENSE.T @ k)
+
+    return _integrate(problem, ctrl, 5, attempt)
 
 
 def _sdirk_stage(problem, inv, x_stage, beta, y_guess, h, scale):
@@ -287,63 +319,33 @@ def sdirk_solve(problem: OdeProblem, ctrl: StepControl) -> Trajectory:
     An explicit inverse, not LU, because numpy exposes no factor/solve pair.
     A singular iteration matrix rejects the step like a failed stage.
     """
-    x, y = problem.x0, problem.alpha.copy()
-    m = problem.m
-    f = np.asarray(problem.rhs(x, y), dtype=float)
-    if not np.isfinite(f).all():
-        raise NumericError(f"rhs not finite at the initial point of {problem.name!r}")
-    span = problem.x_end - problem.x0
-    h = _initial_step(problem, f, ctrl, order=4)
-    xs, ys, fs = [x], [y.copy()], [f.copy()]
-    n_steps = n_rejected = 0
-    eye = np.eye(m)
-    k = np.empty((5, m))
-    while x < problem.x_end:
-        if n_steps + n_rejected >= ctrl.max_steps:
-            raise StepUnderflowError(
-                f"step budget {ctrl.max_steps} exhausted at x={x!r}", abscissa=x
-            )
-        _check_underflow(h, x, span)
-        h = min(h, problem.x_end - x)
-        last = h >= problem.x_end - x
+    eye = np.eye(problem.m)
+    k = np.empty((5, problem.m))
+
+    def attempt(x, y, f, h):
         jac = np.asarray(problem.ode_jacobian(x, y), dtype=float)
         if not np.isfinite(jac).all():
             raise NumericError(f"ode_jacobian not finite at x={x!r}")
         try:
             inv = np.linalg.inv(eye - h * _SD_GAMMA * jac)
         except np.linalg.LinAlgError:
-            n_rejected += 1
-            h *= ctrl.min_factor
-            continue
+            return None
         scale = ctrl.abs_tol + ctrl.rel_tol * np.abs(y)
-        ok = True
         y_stage = y
         for s in range(5):
             beta = y + h * (_SD_A[s, :s] @ k[:s]) if s else y
-            y_stage, ok = _sdirk_stage(
-                problem, inv, x + _SD_C[s] * h, beta, y_stage, h, scale
-            )
+            y_stage, ok = _sdirk_stage(problem, inv, x + _SD_C[s] * h, beta, y_stage, h, scale)
             if not ok:
-                break
+                return None
             k[s] = (y_stage - beta) / (h * _SD_GAMMA)
-        if ok:
-            y_new = y_stage  # stiffly accurate: the last stage is the step value
-            raw = h * (_SD_E @ k)
-            err = _scaled_error(inv @ raw, y, y_new, ctrl)
-            ok = np.isfinite(err) and np.isfinite(y_new).all()
-        if ok and err <= 1.0:
-            x = problem.x_end if last else x + h
-            y = y_new
-            f = np.asarray(problem.rhs(x, y), dtype=float)
-            xs.append(x)
-            ys.append(y.copy())
-            fs.append(f.copy())
-            n_steps += 1
-            h *= _grow_factor(err, ctrl, 0.25)
-        else:
-            n_rejected += 1
-            h *= ctrl.min_factor if not ok else min(1.0, _grow_factor(err, ctrl, 0.25))
-    return Trajectory(np.array(xs), np.array(ys), np.array(fs), n_steps, n_rejected)
+        # stiffly accurate: the last stage is the step value
+        err = _scaled_error(inv @ (h * (_SD_E @ k)), y, y_stage, ctrl)
+        if not (np.isfinite(err) and np.isfinite(y_stage).all()):
+            return None
+        return y_stage, err, lambda x_new: (
+            np.asarray(problem.rhs(x_new, y_stage), dtype=float), None)
+
+    return _integrate(problem, ctrl, 4, attempt)
 
 
 def dense_eval(traj: Trajectory, x) -> np.ndarray:

@@ -90,8 +90,8 @@ class TruncationRule:
         if self.epsilon is None:
             if self.mode == "absolute":
                 raise ValueError("absolute mode requires an explicit epsilon")
-        elif self.epsilon < 0:
-            raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
+        elif not 0 <= self.epsilon < np.inf:
+            raise ValueError(f"epsilon must be nonnegative and finite, got {self.epsilon}")
 
     def cutoff(self, shape: tuple[int, int], singular_values: np.ndarray) -> float:
         if self.mode == "absolute":

@@ -75,6 +75,13 @@ class RunReport:
     status: str = "ok"
     detail: str = ""
 
+    @classmethod
+    def failed(cls, problem: OdeProblem, method: str, tol: float, seed: int,
+               detail: str) -> RunReport:
+        """Report of a cell whose reference or solve raised: no metrics, no runs."""
+        return cls(problem.name, dict(problem.params), method, tol, seed, None, 0, 0,
+                   TimingSummary(0.0, 0.0, 0.0, 0), "error", detail)
+
 
 def error_metrics(candidate: Evaluable, reference: Evaluable, grid: np.ndarray) -> ErrorMetrics:
     """L2, Linf and MAE of candidate minus reference, per component."""
@@ -102,12 +109,12 @@ def metric_grid(problem: OdeProblem, size: int | None = None) -> np.ndarray:
     return np.linspace(problem.x0, problem.x_end, size or default_grid_size(problem))
 
 
-def reference_solution(problem: OdeProblem, tol: float = REFERENCE_TOL) -> Evaluable:
+def reference_solution(problem: OdeProblem) -> Evaluable:
     """The comparison baseline: ``problem.analytic`` when present, else an
-    sdirk trajectory at ``tol``."""
+    sdirk trajectory at REFERENCE_TOL."""
     if problem.analytic is not None:
         return problem.analytic
-    return sdirk_solve(problem, StepControl(abs_tol=tol, rel_tol=tol))
+    return sdirk_solve(problem, StepControl(abs_tol=REFERENCE_TOL, rel_tol=REFERENCE_TOL))
 
 
 def _timed(fn, repeats: int):
@@ -131,11 +138,10 @@ def _timed(fn, repeats: int):
     )
 
 
-def _solve_cell(problem: OdeProblem, method: str, tol: float, seed: int,
-                h: int = SolverConfig.h, n: int = SolverConfig.n):
+def _solve_cell(problem: OdeProblem, method: str, tol: float, seed: int):
     """Solve with one method; returns (evaluable, n_points, n_segments)."""
     if method == "rpnn":
-        sol = solve_adaptive(problem, SolverConfig(h=h, n=n, tol=tol, seed=seed))
+        sol = solve_adaptive(problem, SolverConfig(tol=tol, seed=seed))
         return sol, sol.total_points, sol.n_segments
     ctrl = StepControl(abs_tol=tol, rel_tol=tol)
     traj = dp45_solve(problem, ctrl) if method == "dp45" else sdirk_solve(problem, ctrl)
@@ -149,15 +155,13 @@ def run_benchmark(
     repeats: int = 1,
     grid_sizes: dict | None = None,
     methods: Sequence[str] = METHODS,
-    h: int = 40,
-    n: int = 20,
-    reference_tol: float = REFERENCE_TOL,
 ) -> list[RunReport]:
     """Solve each problem with each method, timed over `repeats` runs.
 
     Errors are measured on the problem's metric grid against
     :func:`reference_solution`: the analytic solution when the problem has
-    one (Prothero-Robinson), else an sdirk trajectory at `reference_tol`.
+    one (Prothero-Robinson), else an sdirk trajectory at REFERENCE_TOL.
+    rpnn runs with the default :class:`SolverConfig` at `tol` and `seed`.
     A failing cell is recorded with status "error" and does not abort the
     suite.
     """
@@ -170,37 +174,23 @@ def run_benchmark(
     for problem in problems:
         grid = metric_grid(problem, (grid_sizes or {}).get(problem.name))
         try:
-            ref = reference_solution(problem, reference_tol)
+            ref = reference_solution(problem)
         except Exception as exc:  # record, keep going
-            for method in methods:
-                reports.append(
-                    RunReport(problem.name, dict(problem.params), method, tol, seed, None,
-                              0, 0, TimingSummary(0.0, 0.0, 0.0, 0), "error",
-                              f"reference failed: {exc}")
-                )
+            reports.extend(RunReport.failed(problem, method, tol, seed, f"reference failed: {exc}")
+                           for method in methods)
             continue
         for method in methods:
             try:
                 (evaluable, n_points, n_segments), times = _timed(
-                    lambda: _solve_cell(problem, method, tol, seed, h, n), repeats
+                    lambda: _solve_cell(problem, method, tol, seed), repeats
                 )
                 reports.append(
                     RunReport(problem.name, dict(problem.params), method, tol, seed,
                               error_metrics(evaluable, ref, grid), n_points, n_segments, times)
                 )
             except Exception as exc:
-                reports.append(
-                    RunReport(problem.name, dict(problem.params), method, tol, seed, None,
-                              0, 0, TimingSummary(0.0, 0.0, 0.0, 0), "error", str(exc))
-                )
+                reports.append(RunReport.failed(problem, method, tol, seed, str(exc)))
     return reports
-
-
-def eval_grid_timing(evaluable: Evaluable, grid: np.ndarray, repeats: int = 1) -> TimingSummary:
-    """Time dense evaluation of an already-computed solution over a grid."""
-    xs = np.asarray(grid, dtype=float)
-    _, times = _timed(lambda: evaluable(xs), repeats)
-    return times
 
 
 def report_to_dict(report: RunReport) -> dict:

@@ -49,12 +49,14 @@ class SolverConfig:
             raise ValueError(f"need h >= 2 hidden nodes, got {self.h}")
         if self.n < 1:
             raise ValueError(f"need n >= 1 collocation points, got {self.n}")
-        if not self.tol > 0:
-            raise ValueError(f"tolerance must be positive, got {self.tol}")
+        if not 0 < self.tol < np.inf:
+            raise ValueError(f"tolerance must be positive and finite, got {self.tol}")
         if self.maxiter < 1:
             raise ValueError(f"need maxiter >= 1, got {self.maxiter}")
-        if not self.min_width_factor > 0:
-            raise ValueError(f"min_width_factor must be positive, got {self.min_width_factor}")
+        if not 0 < self.min_width_factor < np.inf:
+            raise ValueError(
+                f"min_width_factor must be positive and finite, got {self.min_width_factor}"
+            )
         if self.h <= self.n:
             warnings.warn(
                 f"h={self.h} <= n={self.n} leaves the collocation system overdetermined; "
@@ -146,7 +148,7 @@ class PiecewiseSolution:
     segments: tuple
     iterations: tuple
     total_points: int
-    knots: np.ndarray | None = None  # derived in __post_init__
+    knots: np.ndarray = field(init=False)  # segment boundaries, x0 first
 
     def __post_init__(self):
         if not self.segments:

@@ -10,16 +10,17 @@ Dense evaluation works through the points in blocks of B = _BLOCK_VALUES //
 in a flat (B, h*m) buffer allocated once per call; column j*m + i belongs to
 node j of component i, matching the row-major flattening of the (h, m)
 parameter arrays (the centers are repeated m times).  Every step runs in
-place, in the order of :meth:`RbfSegmentBasis.gaussians`: (x + b) - c,
-square, negate, times 1/sigma^2, exp, times the weights.  The sum over nodes
-is then taken as ``buf.reshape(k, h, m).sum(axis=1)``: that is the layout and
-reduction of the plain broadcast formula alpha + ramp*(g*weights).sum(axis=1),
-so numpy adds the same terms in the same order and the result is bitwise
-identical to it.  The order of a numpy sum depends on the memory layout: a
-reduced axis that is contiguous is summed pairwise, a strided one term by
-term.  So an (h, k, m) layout reduced over axis 0 looks equivalent but is
-not: for m = 1 the node axis is contiguous in (k, h, 1) and strided in
-(h, k, 1), and the last bits differ (by up to about 1e-14).
+place, in the order of the plain (k, h, m) broadcast formula
+psi = alpha + ramp*(g*weights).sum(axis=1) with g = exp(-((x + b) - c)^2 *
+1/sigma^2): (x + b) - c, square, negate, times 1/sigma^2, exp, times the
+weights.  The sum over nodes is then taken as ``buf.reshape(k, h, m).sum(
+axis=1)``, the layout and reduction of that formula, so numpy adds the same
+terms in the same order and the result is bitwise identical to it.  The
+order of a numpy sum depends on the memory layout: a reduced axis that is
+contiguous is summed pairwise, a strided one term by term.  So an (h, k, m)
+layout reduced over axis 0 looks equivalent but is not: for m = 1 the node
+axis is contiguous in (k, h, 1) and strided in (h, k, 1), and the last bits
+differ (by up to about 1e-14).
 """
 
 from __future__ import annotations
@@ -72,8 +73,8 @@ def _block_len(h: int, m: int) -> int:
     return max(1, _BLOCK_VALUES // (h * m))
 
 
-def _combine(seg: SegmentSolution, xs: np.ndarray, derivative: bool) -> np.ndarray:
-    """Evaluate psi or dpsi/dx at a 1-d array of points, block by block."""
+def _combine(seg: SegmentSolution, xs: np.ndarray) -> np.ndarray:
+    """Evaluate psi at a 1-d array of points, block by block."""
     b = seg.basis
     h, m = b.h, b.m
     bias = b.biases.ravel()
@@ -94,18 +95,9 @@ def _combine(seg: SegmentSolution, xs: np.ndarray, derivative: bool) -> np.ndarr
         np.negative(g, out=g)
         np.multiply(g, isw, out=g)
         np.exp(g, out=g)
-        if derivative:  # u becomes (((-2 u) isw) g) w, from the unweighted g
-            np.multiply(u, -2.0, out=u)
-            np.multiply(u, isw, out=u)
-            np.multiply(u, g, out=u)
-            np.multiply(u, w, out=u)
         np.multiply(g, w, out=g)
-        n_vals = g.reshape(k, h, m).sum(axis=1)
         ramp = (block - seg.x_start)[:, None]
-        if derivative:
-            out[lo : lo + k] = n_vals + ramp * u.reshape(k, h, m).sum(axis=1)
-        else:
-            out[lo : lo + k] = seg.alpha + ramp * n_vals
+        out[lo : lo + k] = seg.alpha + ramp * g.reshape(k, h, m).sum(axis=1)
     return out
 
 
@@ -117,13 +109,5 @@ def trial_eval(seg: SegmentSolution, x) -> np.ndarray:
     """
     xs = np.asarray(x, dtype=float)
     if xs.ndim == 0:
-        return _combine(seg, xs[None], derivative=False)[0]
-    return _combine(seg, xs, derivative=False)
-
-
-def trial_dx(seg: SegmentSolution, x) -> np.ndarray:
-    """d psi / dx at x, same shape conventions as :func:`trial_eval`."""
-    xs = np.asarray(x, dtype=float)
-    if xs.ndim == 0:
-        return _combine(seg, xs[None], derivative=True)[0]
-    return _combine(seg, xs, derivative=True)
+        return _combine(seg, xs[None])[0]
+    return _combine(seg, xs)

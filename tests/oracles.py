@@ -2,6 +2,7 @@
 
 These are the slow, one-point-at-a-time forms that the library's vectorized
 code replaces, or helpers that only tests need: single Gaussian bumps, the
+plain broadcast forms of a basis's Gaussians and of psi and dpsi/dx, the
 per-weight trial-function derivatives, the flat index bijections of the
 collocation system, checked rhs/Jacobian evaluation at one point, the
 pointwise definitions of the four benchmark problems, and residual/Jacobian
@@ -26,6 +27,31 @@ def rbf_dx(c: float, b: float, inv_sq_width: float, x: float):
     """Derivative of :func:`rbf_value` with respect to x."""
     u = x + b - c
     return -2.0 * u * inv_sq_width * np.exp(-(u * u) * inv_sq_width)
+
+
+def gaussians(basis, x) -> np.ndarray:
+    """All Gaussian values of a basis at x: (h, m) for scalar x, (k, h, m) for (k,)."""
+    u = np.asarray(x, dtype=float)[..., None, None] + basis.biases - basis.centers[:, None]
+    return np.exp(-(u * u) * basis.inv_sq_widths)
+
+
+def gaussians_dx(basis, x) -> np.ndarray:
+    """d/dx of :func:`gaussians`, same shape conventions."""
+    u = np.asarray(x, dtype=float)[..., None, None] + basis.biases - basis.centers[:, None]
+    return -2.0 * u * basis.inv_sq_widths * np.exp(-(u * u) * basis.inv_sq_widths)
+
+
+def broadcast_eval(seg, xs) -> np.ndarray:
+    """psi at a 1-d array of points from the plain (k, h, m) broadcast formula."""
+    ramp = (xs - seg.x_start)[:, None]
+    return seg.alpha + ramp * (gaussians(seg.basis, xs) * seg.weights).sum(axis=1)
+
+
+def broadcast_dx(seg, xs) -> np.ndarray:
+    """dpsi/dx at a 1-d array of points from the plain (k, h, m) broadcast formula."""
+    ramp = (xs - seg.x_start)[:, None]
+    n_vals = (gaussians(seg.basis, xs) * seg.weights).sum(axis=1)
+    return n_vals + ramp * (gaussians_dx(seg.basis, xs) * seg.weights).sum(axis=1)
 
 
 def _check_indices(seg, j: int, i: int) -> None:

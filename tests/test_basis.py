@@ -102,10 +102,10 @@ def test_rbf_dx_matches_finite_differences():
 
 def test_gaussian_matrix_shapes():
     b = sample_basis(0.0, 1.0, 5, 3, SeededRng(1))
-    assert b.gaussians(0.5).shape == (5, 3)
-    assert b.gaussians(np.linspace(0, 1, 7)).shape == (7, 5, 3)
-    assert b.gaussians_dx(0.5).shape == (5, 3)
-    assert b.gaussians_dx(np.linspace(0, 1, 7)).shape == (7, 5, 3)
+    for g in b._gaussians_and_dx(0.5):
+        assert g.shape == (5, 3)
+    for g in b._gaussians_and_dx(np.linspace(0, 1, 7)):
+        assert g.shape == (7, 5, 3)
 
 
 def test_basis_constructor_validation():

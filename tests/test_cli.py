@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 
 import rpnn_ode.cli as cli_module
-from rpnn_ode import SolverConfig, eval_solution, load_solution, make_benchmark, solve_adaptive
+from rpnn_ode import (
+    SolverConfig,
+    StepUnderflowError,
+    eval_solution,
+    load_solution,
+    make_benchmark,
+    solve_adaptive,
+)
 from rpnn_ode.cli import _parse_suite, main
 from rpnn_ode.problems import DEFAULT_LAMBDA
 
@@ -276,3 +283,37 @@ def test_benchmark_passes_lambda_only_when_given(tmp_path, monkeypatch):
     main(["benchmark", "--suite", "pr", "--lambda", "-50", "--out", out,
           "--report-dir", str(tmp_path)])
     assert seen == [[{"lambda": DEFAULT_LAMBDA}], [{"lambda": -50.0}]]
+
+
+TABLE_GRID = np.array([0.0, 0.5, 1.0])
+TABLE_VALUES = np.array([[1.0, -0.25], [0.1, 2e-17], [1e300, 3.0]])
+TABLE_TEXT = {
+    "csv": "t,y1,y2\r\n0.0,1.0,-0.25\r\n0.5,0.1,2e-17\r\n1.0,1e+300,3.0\r\n",
+    "json": '{"schema_version": 1, "columns": ["t", "y1", "y2"], "rows": '
+            '[[0.0, 1.0, -0.25], [0.5, 0.1, 2e-17], [1.0, 1e+300, 3.0]]}\n',
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_table_bytes_are_the_same_on_file_and_stdout(tmp_path, capsys, fmt):
+    path = tmp_path / f"table.{fmt}"
+    cli_module._write_table(str(path), TABLE_GRID, TABLE_VALUES, fmt)
+    assert path.read_bytes() == TABLE_TEXT[fmt].encode()
+    cli_module._write_table(None, TABLE_GRID, TABLE_VALUES, fmt)
+    assert capsys.readouterr().out == TABLE_TEXT[fmt]
+
+
+def test_failed_solve_writes_an_error_report(tmp_path, monkeypatch):
+    def fail(problem, method, tol, seed):
+        raise StepUnderflowError("stuck", abscissa=0.5)
+
+    monkeypatch.setattr(cli_module, "_solve_cell", fail)
+    report = tmp_path / "r.json"
+    assert main(["solve", "--problem", "vdp", "--mu", "10", "--method", "dp45", "--tol", "1e-4",
+                 "--seed", "3", "--report", str(report)]) == 2
+    assert json.loads(report.read_text()) == {
+        "schema_version": 1, "problem": "van_der_pol", "params": {"mu": 10.0},
+        "method": "dp45", "tol": 1e-4, "seed": 3, "metrics": None, "n_points": 0,
+        "n_segments": 0, "times": {"median": 0.0, "min": 0.0, "max": 0.0, "repeats": 0},
+        "status": "error", "detail": "stuck",
+    }

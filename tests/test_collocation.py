@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import residual_coords, residual_index, weight_coords, weight_index
+from oracles import gaussians, residual_coords, residual_index, weight_coords, weight_index
 from rpnn_ode import (
     CollocationGrid,
     NumericError,
@@ -150,7 +150,7 @@ def test_jacobian_degenerate_grid_at_left_end():
     seg = SegmentSolution(basis=basis, alpha=p.alpha.copy(), weights=weights, x_stop=1.0)
     grid = CollocationGrid(np.array([0.0]))
     jac = assemble_jacobian(p, seg, grid)
-    g0 = basis.gaussians(0.0)
+    g0 = gaussians(basis, 0.0)
     assert np.allclose(jac[0, :h], g0[:, 0], rtol=1e-14)
     assert np.all(jac[0, h:] == 0.0)
     assert np.all(jac[1, :h] == 0.0)

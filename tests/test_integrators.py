@@ -284,6 +284,33 @@ def test_step_control_validation():
         StepControl(abs_tol=1e-6, rel_tol=-1.0)
     with pytest.raises(ValueError):
         StepControl(abs_tol=1e-6, rel_tol=1e-6, min_factor=2.0, max_factor=1.0)
+    for tol in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            StepControl(abs_tol=tol, rel_tol=1e-6)
+        with pytest.raises(ValueError):
+            StepControl(abs_tol=1e-6, rel_tol=tol)
+    for step in (math.nan, math.inf, 0.0, -1e-3):
+        with pytest.raises(ValueError):
+            StepControl(abs_tol=1e-6, rel_tol=1e-6, initial_step=step)
+
+
+def test_dp45_rejects_a_non_finite_stage_with_min_factor():
+    # the rhs is NaN at negative states; a first step of 10 puts stage 2 at
+    # y = 1 + 10 * (1/5) * (-1) = -1, so that attempt fails outright
+    stage_abscissae = []
+
+    def rhs(x, y):
+        stage_abscissae.append(x)
+        return np.where(y < 0.0, np.nan, -y)
+
+    decay = OdeProblem(name="decay", m=1, x0=0.0, x_end=10.0, alpha=np.array([1.0]),
+                       rhs=rhs, ode_jacobian=lambda x, y: -np.eye(1))
+    traj = dp45_solve(decay, StepControl(1e-8, 1e-8, initial_step=10.0, min_factor=0.5))
+    assert stage_abscissae[1] == 2.0  # first attempt, h = 10: stage 2 gives NaN
+    assert stage_abscissae[2] == 1.0  # next attempt, h = 10 * min_factor
+    assert traj.n_rejected >= 1
+    assert traj.abscissae[-1] == 10.0
+    assert abs(traj.states[-1, 0] - math.exp(-10.0)) <= 1e-7
 
 
 def test_step_budget_exhaustion_raises():

@@ -90,6 +90,10 @@ def test_rule_validation():
         TruncationRule("relative", -1.0)
     with pytest.raises(ValueError):
         TruncationRule("absolute", None)
+    for mode in ("relative", "absolute"):
+        for epsilon in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                TruncationRule(mode, epsilon)
 
 
 def test_input_validation():

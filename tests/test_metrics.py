@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,13 +7,12 @@ from rpnn_ode import (
     SolverConfig,
     dense_eval,
     error_metrics,
-    eval_grid_timing,
     make_benchmark,
     metric_grid,
     run_benchmark,
     solve_adaptive,
 )
-from rpnn_ode.metrics import default_grid_size, report_to_dict
+from rpnn_ode.metrics import _timed, default_grid_size, report_to_dict
 
 
 def as_eval(fn):
@@ -119,6 +120,14 @@ def test_run_benchmark_records_failures():
     reports = run_benchmark([bad], tol=1e-3, methods=("rpnn", "dp45"))
     assert len(reports) == 2
     assert all(r.status == "error" and r.metrics is None for r in reports)
+    assert all(r.detail.startswith("reference failed: ") for r in reports)
+    # with an analytic reference the solves themselves fail
+    exact = dataclasses.replace(bad, analytic=lambda xs: np.zeros((len(xs), 1)))
+    for report in run_benchmark([exact], tol=1e-3, seed=5, methods=("rpnn", "dp45")):
+        assert report.status == "error" and report.metrics is None
+        assert report.detail and not report.detail.startswith("reference failed")
+        assert (report.problem, report.tol, report.seed) == ("nan", 1e-3, 5)
+        assert (report.n_points, report.n_segments, report.times.repeats) == (0, 0, 0)
 
 
 def test_run_benchmark_validation():
@@ -132,10 +141,11 @@ def test_eval_grid_timing():
     rob = make_benchmark("rober")
     sol = solve_adaptive(rob, SolverConfig(tol=1e-3, seed=0))
     grid = np.linspace(0.0, 40.0, 1000)
-    t = eval_grid_timing(sol, grid, repeats=3)
+    values, t = _timed(lambda: sol(grid), repeats=3)
+    assert np.array_equal(values, sol(grid))
     assert t.repeats == 3
     assert 0 < t.min <= t.median <= t.max
-    one = eval_grid_timing(sol, np.array([1.0]), repeats=1)
+    _, one = _timed(lambda: sol(np.array([1.0])), repeats=1)
     assert one.min > 0 and np.isfinite(one.max)
 
 

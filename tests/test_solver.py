@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import gaussians
 from rpnn_ode import (
     OdeProblem,
     PiecewiseSolution,
@@ -41,6 +42,11 @@ def test_config_validation():
         SolverConfig(maxiter=0)
     with pytest.raises(ValueError):
         SolverConfig(min_width_factor=0.0)
+    for value in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            SolverConfig(tol=value)
+        with pytest.raises(ValueError):
+            SolverConfig(min_width_factor=value)
     with pytest.warns(UserWarning):
         SolverConfig(h=10, n=20)
 
@@ -292,7 +298,7 @@ def masked_broadcast_eval(sol, pts):
     for k in np.unique(idx):
         seg, mask = sol.segments[k], idx == k
         ramp = (pts[mask] - seg.x_start)[:, None]
-        out[mask] = seg.alpha + ramp * (seg.basis.gaussians(pts[mask]) * seg.weights).sum(axis=1)
+        out[mask] = seg.alpha + ramp * (gaussians(seg.basis, pts[mask]) * seg.weights).sum(axis=1)
     return out
 
 

@@ -5,13 +5,15 @@ import pytest
 
 import rpnn_ode.trial as trial_module
 from conftest import fd_scalar
-from oracles import trial_dw, trial_dxdw
+from oracles import broadcast_dx, broadcast_eval, gaussians, trial_dw, trial_dxdw
 from rpnn_ode import (
+    CollocationGrid,
+    OdeProblem,
     RbfSegmentBasis,
     SeededRng,
     SegmentSolution,
+    assemble_residual,
     sample_basis,
-    trial_dx,
     trial_eval,
 )
 
@@ -22,6 +24,19 @@ def random_segment(seed, h=8, m=2, x_start=0.5, width=1.0, weight_scale=1.0):
     weights = rng.uniform(-weight_scale, weight_scale, size=(h, m))
     alpha = rng.uniform(-1.0, 1.0, size=(m,))
     return SegmentSolution(basis=basis, alpha=alpha, weights=weights, x_stop=x_start + width)
+
+
+def dpsi_dx(seg, x):
+    """dpsi/dx as residual assembly computes it: the residual of y' = 0.
+
+    Same shape conventions as :func:`trial_eval`; x must be increasing.
+    """
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    m = seg.basis.m
+    zero = OdeProblem(name="zero", m=m, x0=seg.x_start, x_end=seg.x_stop, alpha=np.zeros(m),
+                      rhs=lambda x, y: np.zeros(m), ode_jacobian=lambda x, y: np.zeros((m, m)))
+    out = assemble_residual(zero, seg, CollocationGrid(xs)).reshape(m, len(xs)).T
+    return out[0] if np.ndim(x) == 0 else out
 
 
 def test_initial_condition_is_exact_for_any_weights():
@@ -35,7 +50,7 @@ def test_zero_weights_give_constant_alpha():
     seg.weights[:] = 0.0
     xs = np.linspace(seg.x_start, seg.x_stop, 11)
     assert np.all(trial_eval(seg, xs) == seg.alpha)
-    assert np.all(trial_dx(seg, xs) == 0.0)
+    assert np.all(dpsi_dx(seg, xs) == 0.0)
 
 
 def test_single_node_scalar_oracle():
@@ -53,7 +68,7 @@ def test_trial_dx_matches_finite_differences():
     for seed in range(100):
         seg = random_segment(seed)
         x = rng.uniform(seg.x_start + 0.05, seg.x_stop - 0.05)
-        got = trial_dx(seg, x)
+        got = dpsi_dx(seg, x)
         for i in range(seg.basis.m):
             want = fd_scalar(lambda t: trial_eval(seg, t)[i], x, step=1e-6)
             assert abs(got[i] - want) <= 1e-6 * (abs(want) + 1.0)
@@ -62,9 +77,9 @@ def test_trial_dx_matches_finite_differences():
 def test_trial_dx_at_start_equals_network_value():
     # at x_start the ramp factor vanishes, leaving the plain RBF combination
     seg = random_segment(21)
-    g = seg.basis.gaussians(seg.x_start)
+    g = gaussians(seg.basis, seg.x_start)
     n_val = (g * seg.weights).sum(axis=0)
-    assert np.allclose(trial_dx(seg, seg.x_start), n_val, rtol=1e-14)
+    assert np.allclose(dpsi_dx(seg, seg.x_start), n_val, rtol=1e-14)
 
 
 def test_trial_dw_properties():
@@ -108,7 +123,7 @@ def test_trial_dxdw_properties():
             def dpsi_of_w(w):
                 old = seg.weights[j, i]
                 seg.weights[j, i] = w
-                val = trial_dx(seg, x)[i]
+                val = dpsi_dx(seg, x)[i]
                 seg.weights[j, i] = old
                 return val
 
@@ -156,10 +171,10 @@ def test_vectorized_evaluation_matches_pointwise():
     seg = random_segment(17)
     xs = np.linspace(seg.x_start - 0.1, seg.x_stop + 0.1, 23)  # extrapolation permitted
     batch = trial_eval(seg, xs)
-    batch_dx = trial_dx(seg, xs)
+    batch_dx = dpsi_dx(seg, xs)
     for k, x in enumerate(xs):
         assert np.all(batch[k] == trial_eval(seg, x))
-        assert np.all(batch_dx[k] == trial_dx(seg, x))
+        assert np.all(batch_dx[k] == dpsi_dx(seg, x))
 
 
 def test_segment_constructor_validation():
@@ -174,19 +189,6 @@ def test_segment_constructor_validation():
         SegmentSolution(basis=basis, alpha=np.zeros(2), weights=np.zeros((4, 2)), x_stop=2.0)
 
 
-def broadcast_eval(seg, xs):
-    """Oracle: psi from the plain (k, h, m) broadcast formula."""
-    ramp = (xs - seg.x_start)[:, None]
-    return seg.alpha + ramp * (seg.basis.gaussians(xs) * seg.weights).sum(axis=1)
-
-
-def broadcast_dx(seg, xs):
-    """Oracle: dpsi/dx from the plain (k, h, m) broadcast formula."""
-    ramp = (xs - seg.x_start)[:, None]
-    n_vals = (seg.basis.gaussians(xs) * seg.weights).sum(axis=1)
-    return n_vals + ramp * (seg.basis.gaussians_dx(xs) * seg.weights).sum(axis=1)
-
-
 def block_point_counts(block):
     return (0, 1, block - 1, block, block + 1, 3 * block + 5)
 
@@ -199,7 +201,6 @@ def test_blocked_evaluation_is_bitwise_the_broadcast_formula(m):
         # a margin on both sides: extrapolation runs the same kernel
         xs = np.linspace(seg.x_start - 0.3, seg.x_stop + 0.3, count)
         assert np.array_equal(trial_eval(seg, xs), broadcast_eval(seg, xs))
-        assert np.array_equal(trial_dx(seg, xs), broadcast_dx(seg, xs))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 8])
@@ -211,4 +212,11 @@ def test_result_does_not_depend_on_block_size(monkeypatch, m, block):
     for count in block_point_counts(block):
         xs = np.linspace(seg.x_start - 0.2, seg.x_stop + 0.2, count)
         assert np.array_equal(trial_eval(seg, xs), broadcast_eval(seg, xs))
-        assert np.array_equal(trial_dx(seg, xs), broadcast_dx(seg, xs))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 8])
+def test_residual_of_a_zero_rhs_is_bitwise_the_broadcast_dpsi_dx(m):
+    seg = random_segment(300 + m, h=40, m=m, x_start=0.5, width=2.0, weight_scale=5.0)
+    for count in (1, 2, 20, 1000):
+        xs = np.linspace(seg.x_start, seg.x_stop, count + 1)[1:]
+        assert np.array_equal(dpsi_dx(seg, xs), broadcast_dx(seg, xs))
