@@ -4,7 +4,7 @@ from .basis import RbfSegmentBasis, SeededRng, sample_basis
 from .collocation import CollocationGrid, assemble_jacobian, assemble_residual, make_grid
 from .errors import NumericError, StepUnderflowError
 from .integrators import StepControl, Trajectory, dense_eval, dp45_solve, sdirk_solve
-from .leastnorm import TruncationRule, effective_rank, truncated_pinv_solve
+from .leastnorm import effective_rank, truncated_pinv_solve
 from .metrics import (
     ErrorMetrics,
     RunReport,
@@ -46,7 +46,6 @@ __all__ = [
     "TimingSummary",
     "TrainResult",
     "Trajectory",
-    "TruncationRule",
     "assemble_jacobian",
     "assemble_residual",
     "canonical_name",

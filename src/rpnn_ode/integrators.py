@@ -25,10 +25,13 @@ method supplies only its step attempt.  The loop owns everything else: the
 start-up rhs check and starting step, the step budget, the underflow check,
 clamping to x_end, and the accept/reject rule.  A step is accepted when the
 mixed norm max_i |err_i| / (abs_tol + rel_tol * max(|y_i|, |y_new_i|)) is at
-most 1, and the next step is h * min(max_factor, max(min_factor,
-0.9 * err^(-1/order))), never growing after a rejection.  A step that fails
-outright (a non-finite stage or error, a Newton iteration that does not
-converge, a singular iteration matrix) shrinks h by min_factor.
+most 1, and the next step is h * min(_MAX_FACTOR, max(_MIN_FACTOR,
+0.9 * err^(-1/order))), never growing after a rejection, with
+``_MIN_FACTOR`` = 0.2 and ``_MAX_FACTOR`` = 5.  A step that fails outright (a
+non-finite stage or error, a Newton iteration that does not converge, a
+singular iteration matrix) shrinks h by ``_MIN_FACTOR``.  A solve that
+attempts ``_MAX_STEPS`` = 5,000,000 steps, accepted or rejected, without
+reaching x_end raises StepUnderflowError.
 
 Both record the state and its derivative at every accepted point for dense
 output through :func:`dense_eval`: dp45 trajectories additionally carry the
@@ -128,26 +131,21 @@ _SD_E = _SD_B - _SD_BHAT
 
 _MAX_NEWTON = 12
 _SAFETY = 0.9  # the controller aims at 0.9 of the step the error estimate allows
+_MIN_FACTOR = 0.2
+_MAX_FACTOR = 5.0
+_MAX_STEPS = 5_000_000
 
 
 @dataclass(frozen=True)
 class StepControl:
-    """Adaptive step-size parameters shared by both integrators."""
+    """Error tolerances shared by both integrators."""
 
     abs_tol: float
     rel_tol: float
-    min_factor: float = 0.2
-    max_factor: float = 5.0
-    initial_step: float | None = None
-    max_steps: int = 5_000_000
 
     def __post_init__(self):
         if not (0 < self.abs_tol < np.inf and 0 < self.rel_tol < np.inf):
             raise ValueError("tolerances must be positive and finite")
-        if not 0 < self.min_factor <= self.max_factor:
-            raise ValueError("need 0 < min_factor <= max_factor")
-        if self.initial_step is not None and not 0 < self.initial_step < np.inf:
-            raise ValueError(f"initial_step must be positive and finite, got {self.initial_step}")
 
 
 @dataclass(frozen=True)
@@ -185,8 +183,6 @@ def _scaled_error(err_vec: np.ndarray, y_old: np.ndarray, y_new: np.ndarray, ctr
 def _initial_step(problem: OdeProblem, f0: np.ndarray, ctrl: StepControl, order: int) -> float:
     """Small-cost starting guess: compare the state scale with its derivative."""
     span = problem.x_end - problem.x0
-    if ctrl.initial_step is not None:
-        return min(float(ctrl.initial_step), span)
     y0 = problem.alpha
     scale = ctrl.abs_tol + ctrl.rel_tol * np.abs(y0)
     d0 = float(np.max(np.abs(y0) / scale))
@@ -212,10 +208,10 @@ def _check_underflow(h: float, x: float, span: float) -> None:
         )
 
 
-def _grow_factor(err: float, ctrl: StepControl, inv_order: float) -> float:
+def _grow_factor(err: float, inv_order: float) -> float:
     if err == 0.0:
-        return ctrl.max_factor
-    return min(ctrl.max_factor, max(ctrl.min_factor, _SAFETY * err**-inv_order))
+        return _MAX_FACTOR
+    return min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err**-inv_order))
 
 
 def _integrate(problem: OdeProblem, ctrl: StepControl, order: int, attempt) -> Trajectory:
@@ -236,22 +232,20 @@ def _integrate(problem: OdeProblem, ctrl: StepControl, order: int, attempt) -> T
     xs, ys, fs, blocks = [x], [y.copy()], [f.copy()], []
     n_steps = n_rejected = 0
     while x < problem.x_end:
-        if n_steps + n_rejected >= ctrl.max_steps:
-            raise StepUnderflowError(
-                f"step budget {ctrl.max_steps} exhausted at x={x!r}", abscissa=x
-            )
+        if n_steps + n_rejected >= _MAX_STEPS:
+            raise StepUnderflowError(f"step budget {_MAX_STEPS} exhausted at x={x!r}", abscissa=x)
         _check_underflow(h, x, span)
         h = min(h, problem.x_end - x)
         last = h >= problem.x_end - x
         step = attempt(x, y, f, h)
         if step is None:
             n_rejected += 1
-            h *= ctrl.min_factor
+            h *= _MIN_FACTOR
             continue
         y_new, err, accept = step
         if err > 1.0:
             n_rejected += 1
-            h *= min(1.0, _grow_factor(err, ctrl, inv_order))
+            h *= min(1.0, _grow_factor(err, inv_order))
             continue
         x = problem.x_end if last else x + h
         y = y_new
@@ -262,7 +256,7 @@ def _integrate(problem: OdeProblem, ctrl: StepControl, order: int, attempt) -> T
         if block is not None:
             blocks.append(block)
         n_steps += 1
-        h *= _grow_factor(err, ctrl, inv_order)
+        h *= _grow_factor(err, inv_order)
     return Trajectory(np.array(xs), np.array(ys), np.array(fs), n_steps, n_rejected,
                       extension=np.array(blocks) if blocks else None)
 

@@ -5,6 +5,12 @@ residuals) and often numerically rank deficient, so the step is computed as
 the minimum-2-norm solution of the least-squares problem restricted to the
 singular directions above a cutoff.
 
+There is one cutoff rule, LAPACK's ``rcond`` semantics (``xGELSD``, and
+``np.linalg.lstsq`` / ``np.linalg.pinv``): singular values
+sigma <= rcond * sigma_max count as zero and only sigma > rcond * sigma_max
+are kept.  rcond defaults to max(rows, cols) * machine epsilon, the
+conventional pseudoinverse tolerance; a zero matrix has rank 0.
+
 Every SVD here runs with OpenBLAS limited to one thread.  These SVDs are
 most of a solve's time, and at the Gauss-Newton sizes of the default
 ``SolverConfig`` (smaller side at most 160 on the benchmark problems)
@@ -53,7 +59,6 @@ import contextlib
 import ctypes
 import functools
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,40 +73,6 @@ _THREAD_SYMBOLS = tuple(
     for prefix in ("scipy_openblas_", "openblas_")
     for suffix in ("64_", "")
 )
-
-
-@dataclass(frozen=True)
-class TruncationRule:
-    """Singular-value cutoff policy.
-
-    mode "relative": cutoff = epsilon * sigma_max, with epsilon defaulting to
-    max(rows, cols) * machine epsilon when left unset (the conventional
-    default pseudoinverse tolerance).  mode "absolute": cutoff = epsilon.
-    Singular values strictly above the cutoff are kept; a zero matrix
-    therefore has effective rank 0 under either mode.
-    """
-
-    mode: str = "relative"
-    epsilon: float | None = None
-
-    def __post_init__(self):
-        if self.mode not in ("relative", "absolute"):
-            raise ValueError(f"mode must be 'relative' or 'absolute', got {self.mode!r}")
-        if self.epsilon is None:
-            if self.mode == "absolute":
-                raise ValueError("absolute mode requires an explicit epsilon")
-        elif not 0 <= self.epsilon < np.inf:
-            raise ValueError(f"epsilon must be nonnegative and finite, got {self.epsilon}")
-
-    def cutoff(self, shape: tuple[int, int], singular_values: np.ndarray) -> float:
-        if self.mode == "absolute":
-            return float(self.epsilon)
-        rel = max(shape) * _EPS if self.epsilon is None else self.epsilon
-        sigma_max = float(singular_values[0]) if len(singular_values) else 0.0
-        return rel * sigma_max
-
-
-DEFAULT_TRUNCATION = TruncationRule()
 
 
 @functools.cache
@@ -162,22 +133,34 @@ def _as_matrix(a) -> np.ndarray:
     return a
 
 
-def _svd(a: np.ndarray):
-    """Thin SVD of a checked matrix, on one BLAS thread."""
+def _truncated_svd(a: np.ndarray, rcond: float | None):
+    """Thin SVD of a checked matrix on one BLAS thread, and the kept mask.
+
+    The mask keeps sigma > rcond * sigma_max; rcond=None means
+    max(rows, cols) * machine epsilon.  ValueError for a NaN, infinite or
+    negative rcond, before the SVD runs.
+    """
+    if rcond is None:
+        rcond = max(a.shape) * _EPS
+    elif not 0 <= rcond < np.inf:
+        raise ValueError(f"rcond must be nonnegative and finite, got {rcond}")
     try:
         with _one_blas_thread():
-            return np.linalg.svd(a, full_matrices=False)
+            u, s, vt = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"SVD failed: {exc}") from exc
+    sigma_max = float(s[0]) if len(s) else 0.0
+    return u, s, vt, s > rcond * sigma_max
 
 
-def truncated_pinv_solve(a: np.ndarray, b: np.ndarray, rule: TruncationRule = DEFAULT_TRUNCATION) -> np.ndarray:
+def truncated_pinv_solve(a: np.ndarray, b: np.ndarray, rcond: float | None = None) -> np.ndarray:
     """Minimum-norm solution of the rank-truncated least-squares problem.
 
-    Computes x = V_r diag(1/s_r) U_r^T b where only singular triplets with
-    s > cutoff are retained.  For consistent full-rank systems this is the
-    exact solution; otherwise it minimizes the residual over the retained
-    subspace and has the smallest 2-norm among all such minimizers.
+    Computes x = V_r diag(1/s_r) U_r^T b over the singular triplets with
+    s > rcond * s_max (LAPACK's rcond; default max(rows, cols) * machine
+    epsilon).  For consistent full-rank systems this is the exact solution;
+    otherwise it minimizes the residual over the retained subspace and has
+    the smallest 2-norm among all such minimizers.
     """
     a = _as_matrix(a)
     b = np.asarray(b, dtype=float)
@@ -185,15 +168,13 @@ def truncated_pinv_solve(a: np.ndarray, b: np.ndarray, rule: TruncationRule = DE
         raise ValueError(f"b must have shape ({a.shape[0]},), got {b.shape}")
     if not np.all(np.isfinite(b)):
         raise NumericError("right-hand side contains non-finite entries")
-    u, s, vt = _svd(a)
-    keep = s > rule.cutoff(a.shape, s)
+    u, s, vt, keep = _truncated_svd(a, rcond)
     if not np.any(keep):
         return np.zeros(a.shape[1])
     return vt[keep].T @ ((u[:, keep].T @ b) / s[keep])
 
 
-def effective_rank(a: np.ndarray, rule: TruncationRule = DEFAULT_TRUNCATION) -> int:
-    """Number of singular values above the rule's cutoff."""
-    a = _as_matrix(a)
-    _, s, _ = _svd(a)
-    return int(np.count_nonzero(s > rule.cutoff(a.shape, s)))
+def effective_rank(a: np.ndarray, rcond: float | None = None) -> int:
+    """Number of singular values s > rcond * s_max, the rank truncated_pinv_solve keeps."""
+    _, _, _, keep = _truncated_svd(_as_matrix(a), rcond)
+    return int(np.count_nonzero(keep))

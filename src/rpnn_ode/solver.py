@@ -13,6 +13,7 @@ segment's end value makes the piecewise solution continuous by construction.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -21,9 +22,11 @@ import numpy as np
 from .basis import SeededRng, sample_basis
 from .collocation import CollocationGrid, assemble_jacobian, assemble_residual, make_grid
 from .errors import NumericError, StepUnderflowError
-from .leastnorm import DEFAULT_TRUNCATION, TruncationRule, truncated_pinv_solve
+from .leastnorm import truncated_pinv_solve
 from .problems import OdeProblem
 from .trial import SegmentSolution, trial_eval
+
+_MIN_WIDTH_FACTOR = 2.0**-30  # width floor, relative to the whole domain
 
 
 @dataclass
@@ -31,20 +34,24 @@ class SolverConfig:
     """Training parameters.
 
     h hidden nodes per component, n collocation points per segment, residual
-    tolerance tol, Gauss-Newton iteration cap maxiter, and a floor on the
-    segment width relative to the whole domain.  The method relies on the
-    underdetermined regime h > n; smaller h is allowed but warns.
+    tolerance tol, Gauss-Newton iteration cap maxiter and the basis seed.  h,
+    n and maxiter must be integers (Python or numpy; stored as int).  The
+    method relies on the underdetermined regime h > n; smaller h is allowed
+    but warns.
     """
 
     h: int = 40
     n: int = 20
     tol: float = 1e-6
     maxiter: int = 4
-    min_width_factor: float = 2.0**-30
     seed: int = 0
-    truncation: TruncationRule = field(default_factory=TruncationRule)
 
     def __post_init__(self):
+        for name in ("h", "n", "maxiter"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            setattr(self, name, int(value))
         if self.h < 2:
             raise ValueError(f"need h >= 2 hidden nodes, got {self.h}")
         if self.n < 1:
@@ -53,10 +60,6 @@ class SolverConfig:
             raise ValueError(f"tolerance must be positive and finite, got {self.tol}")
         if self.maxiter < 1:
             raise ValueError(f"need maxiter >= 1, got {self.maxiter}")
-        if not 0 < self.min_width_factor < np.inf:
-            raise ValueError(
-                f"min_width_factor must be positive and finite, got {self.min_width_factor}"
-            )
         if self.h <= self.n:
             warnings.warn(
                 f"h={self.h} <= n={self.n} leaves the collocation system overdetermined; "
@@ -78,7 +81,6 @@ def gauss_newton_train(
     grid: CollocationGrid,
     tol: float,
     maxiter: int,
-    truncation: TruncationRule = DEFAULT_TRUNCATION,
 ) -> TrainResult:
     """Iterate W <- W - pinv(dF/dW) F on seg.weights until ||F||_2 <= tol.
 
@@ -114,7 +116,7 @@ def gauss_newton_train(
             break  # no step taken here could pass the pre-step test
         try:
             jac = assemble_jacobian(problem, seg, grid)
-            step = -truncated_pinv_solve(jac, resid, truncation)
+            step = -truncated_pinv_solve(jac, resid)
         except NumericError:
             return TrainResult(False, err, iteration - 1)
         delta = step.reshape(m, h).T
@@ -176,11 +178,12 @@ def solve_adaptive(problem: OdeProblem, config: SolverConfig) -> PiecewiseSoluti
     """Solve the IVP by adaptive segment training; deterministic in config.seed.
 
     Raises StepUnderflowError when repeated halving pushes the interval width
-    below min_width_factor * (x_end - x0).
+    below ``_MIN_WIDTH_FACTOR`` * (x_end - x0), with ``_MIN_WIDTH_FACTOR`` =
+    2^-30.
     """
     rng = SeededRng(config.seed)
     span = problem.x_end - problem.x0
-    floor = config.min_width_factor * span
+    floor = _MIN_WIDTH_FACTOR * span
     x_star = problem.x0
     alpha = problem.alpha.copy()
     width = span
@@ -201,9 +204,7 @@ def solve_adaptive(problem: OdeProblem, config: SolverConfig) -> PiecewiseSoluti
             x_stop=x_stop,
         )
         grid = make_grid(x_star, width, config.n)
-        result = gauss_newton_train(
-            problem, seg, grid, config.tol, config.maxiter, config.truncation
-        )
+        result = gauss_newton_train(problem, seg, grid, config.tol, config.maxiter)
         if result.converged:
             segments.append(seg)
             iterations.append(result.iterations)

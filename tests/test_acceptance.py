@@ -17,7 +17,6 @@ from rpnn_ode import (
     SegmentSolution,
     SolverConfig,
     StepControl,
-    TruncationRule,
     assemble_jacobian,
     assemble_residual,
     dense_eval,
@@ -182,22 +181,20 @@ def test_criterion_6d_truncated_pseudoinverse_properties():
     v, _ = np.linalg.qr(rng.normal(size=(12, 12)))
     s = np.array([3.0, 1.0, 0.2, 1e-8, 1e-11, 0.0, 0.0, 0.0])
     a = u @ np.diag(s) @ v[:, :8].T
-    rule = TruncationRule("relative", 1e-6)
-    rank = effective_rank(a, rule)
+    rank = effective_rank(a, rcond=1e-6)
     ok &= rank == 3
     details.append(f"rank(diag {s[:5]}...)={rank} (expect 3)")
     b = rng.normal(size=8)
-    x = truncated_pinv_solve(a, b, rule)
+    x = truncated_pinv_solve(a, b, rcond=1e-6)
     null_overlap = max(abs(x @ v[:, col]) for col in range(3, 12))
     ok &= null_overlap <= 1e-10
     details.append(f"null-space overlap={null_overlap:.1e} (<=1e-10)")
     # truncation: tiny singular value discarded
-    x2 = truncated_pinv_solve(np.diag([1.0, 1e-20]), np.array([1.0, 1.0]),
-                              TruncationRule("relative", 1e-12))
+    x2 = truncated_pinv_solve(np.diag([1.0, 1e-20]), np.array([1.0, 1.0]), rcond=1e-12)
     ok &= np.allclose(x2, [1.0, 0.0], atol=1e-15)
     details.append(f"diag truncation -> {x2}")
     # monotonicity of the effective rank in epsilon
-    ranks = [effective_rank(a, TruncationRule("relative", e))
+    ranks = [effective_rank(a, rcond=e)
              for e in (1e-12, 1e-9, 1e-6, 1e-2, 0.5)]
     ok &= all(r1 >= r2 for r1, r2 in zip(ranks, ranks[1:]))
     details.append(f"ranks vs epsilon {ranks} (non-increasing)")

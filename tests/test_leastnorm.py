@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rpnn_ode import NumericError, TruncationRule, effective_rank, truncated_pinv_solve
+from rpnn_ode import NumericError, effective_rank, truncated_pinv_solve
 
 
 def test_identity_system():
@@ -18,10 +18,9 @@ def test_rank_one_minimum_norm():
 
 def test_tiny_singular_value_truncated():
     a = np.diag([1.0, 1e-20])
-    rule = TruncationRule("relative", 1e-12)
-    x = truncated_pinv_solve(a, np.array([1.0, 1.0]), rule)
+    x = truncated_pinv_solve(a, np.array([1.0, 1.0]), rcond=1e-12)
     assert np.allclose(x, [1.0, 0.0], atol=1e-14)
-    assert effective_rank(a, rule) == 1
+    assert effective_rank(a, rcond=1e-12) == 1
 
 
 def test_effective_rank_examples():
@@ -34,7 +33,7 @@ def test_effective_rank_monotone_in_epsilon():
     rng = np.random.default_rng(0)
     a = rng.normal(size=(8, 12))
     a[3] = a[2] * 1.0000001  # near-dependent rows
-    ranks = [effective_rank(a, TruncationRule("relative", eps))
+    ranks = [effective_rank(a, rcond=eps)
              for eps in (0.0, 1e-12, 1e-8, 1e-4, 1e-2, 0.5, 2.0)]
     assert all(r1 >= r2 for r1, r2 in zip(ranks, ranks[1:]))
     assert ranks[-1] == 0  # cutoff above sigma_max removes everything
@@ -57,21 +56,14 @@ def test_minimum_norm_property():
     v, _ = np.linalg.qr(rng.normal(size=(9, 9)))
     s = np.array([2.0, 1.0, 0.5, 1e-9, 1e-12, 0.0, 0.0])
     a = u @ np.diag(s) @ v[:, :7].T
-    rule = TruncationRule("relative", 1e-6)
-    assert effective_rank(a, rule) == 3
+    assert effective_rank(a, rcond=1e-6) == 3
     b = rng.normal(size=7)
-    x = truncated_pinv_solve(a, b, rule)
+    x = truncated_pinv_solve(a, b, rcond=1e-6)
     for col in range(3, 9):
         assert abs(x @ v[:, col]) <= 1e-10
     # perturbing along a retained null direction cannot shrink the norm
     x_alt = x + 0.1 * v[:, 4]
     assert np.linalg.norm(x) <= np.linalg.norm(x_alt) + 1e-12
-
-
-def test_absolute_mode():
-    a = np.diag([5.0, 1.0, 1e-4])
-    assert effective_rank(a, TruncationRule("absolute", 1e-3)) == 2
-    assert effective_rank(a, TruncationRule("absolute", 10.0)) == 0
 
 
 def test_default_cutoff_matches_conventional_pinv_tolerance():
@@ -81,19 +73,16 @@ def test_default_cutoff_matches_conventional_pinv_tolerance():
     x = truncated_pinv_solve(a, b)
     expected = np.linalg.pinv(a, rcond=40 * np.finfo(float).eps) @ b
     assert np.allclose(x, expected, rtol=1e-12, atol=1e-14)
+    assert np.array_equal(x, truncated_pinv_solve(a, b, rcond=max(a.shape) * np.finfo(float).eps))
 
 
-def test_rule_validation():
-    with pytest.raises(ValueError):
-        TruncationRule("largest", 0.1)
-    with pytest.raises(ValueError):
-        TruncationRule("relative", -1.0)
-    with pytest.raises(ValueError):
-        TruncationRule("absolute", None)
-    for mode in ("relative", "absolute"):
-        for epsilon in (np.nan, np.inf):
-            with pytest.raises(ValueError):
-                TruncationRule(mode, epsilon)
+def test_rcond_validation():
+    for rcond in (np.nan, np.inf, -np.inf, -1.0):
+        with pytest.raises(ValueError, match="rcond"):
+            truncated_pinv_solve(np.eye(3), np.ones(3), rcond=rcond)
+        with pytest.raises(ValueError, match="rcond"):
+            effective_rank(np.eye(3), rcond=rcond)
+    assert effective_rank(np.eye(3), rcond=0.0) == 3
 
 
 def test_input_validation():

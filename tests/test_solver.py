@@ -40,13 +40,16 @@ def test_config_validation():
         SolverConfig(tol=0.0)
     with pytest.raises(ValueError):
         SolverConfig(maxiter=0)
-    with pytest.raises(ValueError):
-        SolverConfig(min_width_factor=0.0)
     for value in (math.inf, math.nan):
         with pytest.raises(ValueError):
             SolverConfig(tol=value)
-        with pytest.raises(ValueError):
-            SolverConfig(min_width_factor=value)
+    for name in ("h", "n", "maxiter"):
+        for value in (40.0, 2.5, np.float64(20.0), "20", None):
+            with pytest.raises(ValueError, match=name):
+                SolverConfig(**{name: value})
+    config = SolverConfig(h=np.int64(40), n=np.int32(20), maxiter=np.uint8(4))
+    assert (config.h, config.n, config.maxiter) == (40, 20, 4)
+    assert all(type(v) is int for v in (config.h, config.n, config.maxiter))
     with pytest.warns(UserWarning):
         SolverConfig(h=10, n=20)
 
@@ -100,7 +103,7 @@ def test_failing_attempt_skips_the_step_that_cannot_converge(maxiter, monkeypatc
     assert np.isfinite(result.final_residual_norm) and result.final_residual_norm > 1e-300
 
 
-def train_every_iteration(problem, seg, grid, tol, maxiter, truncation):
+def train_every_iteration(problem, seg, grid, tol, maxiter):
     """Oracle: the Gauss-Newton loop that also takes the last, futile step."""
     h, m = seg.basis.h, seg.basis.m
     try:
@@ -115,7 +118,7 @@ def train_every_iteration(problem, seg, grid, tol, maxiter, truncation):
     for iteration in range(1, maxiter + 1):
         try:
             jac = assemble_jacobian(problem, seg, grid)
-            step = -truncated_pinv_solve(jac, resid, truncation)
+            step = -truncated_pinv_solve(jac, resid)
         except NumericError:
             return TrainResult(False, err, iteration - 1)
         delta = step.reshape(m, h).T
@@ -245,14 +248,16 @@ def test_deterministic_under_fixed_seed():
                for sc, sa in zip(c.segments, a.segments)) or c.n_segments != a.n_segments
 
 
-def test_step_underflow_raises_with_diagnostics():
+def test_step_underflow_raises_with_diagnostics(monkeypatch):
     bad = OdeProblem(name="hopeless", m=1, x0=0.0, x_end=1.0, alpha=np.zeros(1),
                      rhs=lambda x, y: np.array([np.nan]),
                      ode_jacobian=lambda x, y: np.array([[np.nan]]))
+    monkeypatch.setattr(solver_module, "_MIN_WIDTH_FACTOR", 2.0**-6)
     with pytest.raises(StepUnderflowError) as info:
-        solve_adaptive(bad, SolverConfig(tol=1e-6, seed=0, min_width_factor=2.0**-6))
+        solve_adaptive(bad, SolverConfig(tol=1e-6, seed=0))
     assert info.value.abscissa == 0.0
     assert "underflow" in str(info.value)
+    assert f"floor {2.0**-6!r}" in str(info.value)
 
 
 @pytest.mark.parametrize("tol", [1e-3, 1e-6])
