@@ -56,6 +56,14 @@ def _parse_points(text: str) -> np.ndarray:
     return pts
 
 
+def _grid_size(text: str) -> int:
+    """argparse type of --grid-size: an integer of at least 1."""
+    size = int(text)
+    if size < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {size}")
+    return size
+
+
 def _build_problem(args):
     params = {}
     if args.mu is not None:
@@ -213,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--seed", type=int, default=None, help="random seed (default: $RPNN_SEED or 0)")
     solve.add_argument("--method", choices=METHODS, default="rpnn")
     solve.add_argument("--repeats", type=int, default=1, help="timing repetitions")
-    solve.add_argument("--grid-size", type=int, default=1000, help="output points (equidistant)")
+    solve.add_argument("--grid-size", type=_grid_size, default=1000, help="output points (equidistant)")
     solve.add_argument("--points", default=None, help="explicit comma-separated output abscissae")
     solve.add_argument("--out", default=None, help="trajectory table path")
     solve.add_argument("--report", default=None, help="JSON run-report path")
@@ -227,13 +235,13 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--tol", type=float, default=1e-3)
     bench.add_argument("--seed", type=int, default=None)
     bench.add_argument("--repeats", type=int, default=1)
-    bench.add_argument("--grid-size", type=int, default=None, help="override metric grid size")
+    bench.add_argument("--grid-size", type=_grid_size, default=None, help="override metric grid size")
     bench.add_argument("--out", default="benchmark_summary.csv", help="summary CSV path")
     bench.add_argument("--report-dir", default=".", help="directory for per-cell JSON reports")
 
     ev = sub.add_parser("eval", help="evaluate a stored solution on a grid")
     ev.add_argument("--solution", required=True, help="serialized solution JSON")
-    ev.add_argument("--grid-size", type=int, default=1000)
+    ev.add_argument("--grid-size", type=_grid_size, default=1000)
     ev.add_argument("--points", default=None)
     ev.add_argument("--out", default=None, help="output table path (stdout when omitted)")
     ev.add_argument("--format", choices=("csv", "json"), default="csv")

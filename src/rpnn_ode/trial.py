@@ -6,21 +6,27 @@ factor makes psi match the segment's initial values at x_start exactly, for
 any weights, so training only has to care about the differential equation.
 
 Dense evaluation works through the points in blocks of B = _BLOCK_VALUES //
-(h*m) points, so that one block's scratch stays in L2 cache.  A block lives
-in a flat (B, h*m) buffer allocated once per call; column j*m + i belongs to
-node j of component i, matching the row-major flattening of the (h, m)
-parameter arrays (the centers are repeated m times).  Every step runs in
-place, in the order of the plain (k, h, m) broadcast formula
-psi = alpha + ramp*(g*weights).sum(axis=1) with g = exp(-((x + b) - c)^2 *
-1/sigma^2): (x + b) - c, square, negate, times 1/sigma^2, exp, times the
-weights.  The sum over nodes is then taken as ``buf.reshape(k, h, m).sum(
-axis=1)``, the layout and reduction of that formula, so numpy adds the same
-terms in the same order and the result is bitwise identical to it.  The
-order of a numpy sum depends on the memory layout: a reduced axis that is
-contiguous is summed pairwise, a strided one term by term.  So an (h, k, m)
-layout reduced over axis 0 looks equivalent but is not: for m = 1 the node
-axis is contiguous in (k, h, 1) and strided in (h, k, 1), and the last bits
-differ (by up to about 1e-14).
+(h*m) points, so that one block's scratch stays in L2 cache.  A block of k
+points uses the first k*h*m values of one flat buffer allocated per call.
+Every step runs in place, in the order of the plain (k, h, m) broadcast
+formula psi = alpha + ramp*(g*weights).sum(axis=1) with g = exp(-((x + b) -
+c)^2 * 1/sigma^2): (x + b) - c, square, times -1/sigma^2, exp, times the
+weights.  Elementwise results do not depend on the layout.  Folding the sign
+into -1/sigma^2 is exact: IEEE rounding is symmetric in sign, so (-p)*s and
+p*(-s) are the same double.
+
+The sum over nodes is what fixes the bits, and the order of a numpy sum
+depends on the memory layout: a reduced axis that is contiguous is summed
+pairwise, a strided one term by term.  For m > 1 the node axis of the
+formula's (k, h, m) array is strided, so each output is ((g_0 + g_1) + g_2)
++ ...  The block is laid out node-major, (h, m, k), with the parameters as
+(h, m, 1) columns over contiguous runs of points; ``g.sum(axis=0)`` then
+adds the h contiguous (m, k) slabs one after another, the same terms in the
+same order, so the result is bitwise identical to the formula.  For m = 1 the
+formula's node axis is contiguous and summed pairwise, and a node-major sum
+would differ in the last bits (by up to about 1e-14).  So m = 1 keeps the
+point-major (k, h) layout, with the parameters as (h,) rows, and sums over
+its contiguous node axis as the formula does.
 """
 
 from __future__ import annotations
@@ -77,27 +83,27 @@ def _combine(seg: SegmentSolution, xs: np.ndarray) -> np.ndarray:
     """Evaluate psi at a 1-d array of points, block by block."""
     b = seg.basis
     h, m = b.h, b.m
-    bias = b.biases.ravel()
-    center = np.repeat(b.centers, m)
-    isw = b.inv_sq_widths.ravel()
-    w = seg.weights.ravel()
+    params = (b.biases, np.repeat(b.centers[:, None], m, axis=1), -b.inv_sq_widths, seg.weights)
+    if m > 1:  # node-major (h, m, k): parameters are (h, m, 1) columns
+        bias, center, nisw, w = (p[:, :, None] for p in params)
+    else:  # point-major (k, h): parameters are (h,) rows
+        bias, center, nisw, w = (p.ravel() for p in params)
     size = max(1, min(len(xs), _block_len(h, m)))
-    u_buf = np.empty((size, h * m))
-    g_buf = np.empty((size, h * m))
+    buf = np.empty(size * h * m)
     out = np.empty((len(xs), m))
     for lo in range(0, len(xs), size):
         block = xs[lo : lo + size]
         k = len(block)
-        u, g = u_buf[:k], g_buf[:k]
-        np.add(block[:, None], bias, out=u)
-        np.subtract(u, center, out=u)
-        np.multiply(u, u, out=g)
-        np.negative(g, out=g)
-        np.multiply(g, isw, out=g)
+        g = buf[: k * h * m].reshape((h, m, k) if m > 1 else (k, h))
+        np.add(block if m > 1 else block[:, None], bias, out=g)
+        np.subtract(g, center, out=g)
+        np.multiply(g, g, out=g)
+        np.multiply(g, nisw, out=g)
         np.exp(g, out=g)
         np.multiply(g, w, out=g)
+        sums = g.sum(axis=0).T if m > 1 else g.sum(axis=1)[:, None]
         ramp = (block - seg.x_start)[:, None]
-        out[lo : lo + k] = seg.alpha + ramp * g.reshape(k, h, m).sum(axis=1)
+        out[lo : lo + k] = seg.alpha + ramp * sums
     return out
 
 

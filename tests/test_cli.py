@@ -255,6 +255,21 @@ def test_solve_rejects_repeats_below_one(tmp_path, solver_calls, repeats):
     assert solver_calls == []
 
 
+@pytest.mark.parametrize("size", ["0", "-1"])
+@pytest.mark.parametrize("command", [
+    ["solve", "--problem", "pr", "--report", "r.json", "--out", "x.csv"],
+    ["eval", "--solution", "s.json", "--out", "x.csv"],
+    ["benchmark", "--suite", "pr", "--out", "x.csv"],
+])
+def test_grid_size_below_one_is_a_usage_error(tmp_path, monkeypatch, capsys, solver_calls,
+                                              command, size):
+    monkeypatch.chdir(tmp_path)
+    assert main(command + ["--grid-size", size]) == 1
+    assert "--grid-size" in capsys.readouterr().err
+    assert solver_calls == []
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_solve_repeats_are_timed(tmp_path):
     report = tmp_path / "r.json"
     assert main(["solve", "--problem", "pr", "--tol", "1e-3", "--repeats", "3",

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import gaussians
+from oracles import broadcast_eval
 from rpnn_ode import (
     OdeProblem,
     PiecewiseSolution,
@@ -301,9 +301,8 @@ def masked_broadcast_eval(sol, pts):
     idx = np.searchsorted(sol.knots[1:], pts, side="left")
     out = np.empty((len(pts), sol.m))
     for k in np.unique(idx):
-        seg, mask = sol.segments[k], idx == k
-        ramp = (pts[mask] - seg.x_start)[:, None]
-        out[mask] = seg.alpha + ramp * (gaussians(seg.basis, pts[mask]) * seg.weights).sum(axis=1)
+        mask = idx == k
+        out[mask] = broadcast_eval(sol.segments[k], pts[mask])
     return out
 
 
@@ -314,6 +313,18 @@ def test_eval_solution_is_bitwise_the_masked_broadcast_formula(m):
         xs = np.linspace(sol.x0, sol.x_end, count)
         assert np.array_equal(eval_solution(sol, xs), masked_broadcast_eval(sol, xs))
     assert np.array_equal(eval_solution(sol, sol.knots), masked_broadcast_eval(sol, sol.knots))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("h", [2, 7, 40, 130])
+def test_unsorted_repeated_points_are_bitwise_the_masked_broadcast_formula(h, m):
+    sol = random_piecewise(80 + 10 * h + m, m, h=h)
+    rng = np.random.default_rng(h * m)
+    xs = np.concatenate([rng.uniform(sol.x0, sol.x_end, 700), sol.knots, sol.knots[2:4]])
+    xs = np.concatenate([xs, xs[:50]])[rng.permutation(len(xs) + 50)]
+    assert np.array_equal(eval_solution(sol, xs), masked_broadcast_eval(sol, xs))
+    for x in (sol.x0, sol.knots[2], sol.x_end):
+        assert np.array_equal(eval_solution(sol, x), masked_broadcast_eval(sol, np.array([x]))[0])
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 8])

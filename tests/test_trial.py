@@ -193,25 +193,35 @@ def block_point_counts(block):
     return (0, 1, block - 1, block, block + 1, 3 * block + 5)
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 8])
+# h = 7 is below numpy's 8-wide pairwise-sum unroll and h = 130 above its
+# 128-term block, so m = 1 (a contiguous, pairwise-summed node axis) is
+# covered on both sides of each; m > 1 sums the nodes one after another.
+NODE_COUNTS = (2, 7, 40, 130)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
 def test_blocked_evaluation_is_bitwise_the_broadcast_formula(m):
-    seg = random_segment(100 + m, h=40, m=m, x_start=0.5, width=2.0, weight_scale=5.0)
-    block = trial_module._block_len(seg.basis.h, m)
-    for count in block_point_counts(block):
-        # a margin on both sides: extrapolation runs the same kernel
-        xs = np.linspace(seg.x_start - 0.3, seg.x_stop + 0.3, count)
-        assert np.array_equal(trial_eval(seg, xs), broadcast_eval(seg, xs))
+    for h in NODE_COUNTS:
+        seg = random_segment(100 + 10 * h + m, h=h, m=m, x_start=0.5, width=2.0, weight_scale=5.0)
+        block = trial_module._block_len(h, m)
+        for count in block_point_counts(block):
+            # a margin on both sides: extrapolation runs the same kernel
+            xs = np.linspace(seg.x_start - 0.3, seg.x_stop + 0.3, count)
+            assert np.array_equal(trial_eval(seg, xs), broadcast_eval(seg, xs)), (h, count)
+        for x in (seg.x_start, seg.x_start + 0.7, seg.x_stop, seg.x_stop + 0.3):
+            assert np.array_equal(trial_eval(seg, x), broadcast_eval(seg, np.array([x]))[0]), (h, x)
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 8])
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
 @pytest.mark.parametrize("block", [1, 7, 256])
 def test_result_does_not_depend_on_block_size(monkeypatch, m, block):
-    seg = random_segment(200 + m, h=12, m=m, weight_scale=3.0)
-    monkeypatch.setattr(trial_module, "_BLOCK_VALUES", block * 12 * m)
-    assert trial_module._block_len(12, m) == block
-    for count in block_point_counts(block):
-        xs = np.linspace(seg.x_start - 0.2, seg.x_stop + 0.2, count)
-        assert np.array_equal(trial_eval(seg, xs), broadcast_eval(seg, xs))
+    for h in NODE_COUNTS:
+        seg = random_segment(200 + 10 * h + m, h=h, m=m, weight_scale=3.0)
+        monkeypatch.setattr(trial_module, "_BLOCK_VALUES", block * h * m)
+        assert trial_module._block_len(h, m) == block
+        for count in block_point_counts(block):
+            xs = np.linspace(seg.x_start - 0.2, seg.x_stop + 0.2, count)
+            assert np.array_equal(trial_eval(seg, xs), broadcast_eval(seg, xs)), (h, count)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 8])
