@@ -20,7 +20,8 @@ depends on the memory layout: a reduced axis that is contiguous is summed
 pairwise, a strided one term by term.  For m > 1 the node axis of the
 formula's (k, h, m) array is strided, so each output is ((g_0 + g_1) + g_2)
 + ...  The block is laid out node-major, (h, m, k), with the parameters as
-(h, m, 1) columns over contiguous runs of points; ``g.sum(axis=0)`` then
+(h, m, 1) columns over contiguous runs of points (the centers, which all
+components share, as (h, 1, 1)); ``g.sum(axis=0)`` then
 adds the h contiguous (m, k) slabs one after another, the same terms in the
 same order, so the result is bitwise identical to the formula.  For m = 1 the
 formula's node axis is contiguous and summed pairwise, and a node-major sum
@@ -83,7 +84,7 @@ def _combine(seg: SegmentSolution, xs: np.ndarray) -> np.ndarray:
     """Evaluate psi at a 1-d array of points, block by block."""
     b = seg.basis
     h, m = b.h, b.m
-    params = (b.biases, np.repeat(b.centers[:, None], m, axis=1), -b.inv_sq_widths, seg.weights)
+    params = (b.biases, b.centers[:, None], -b.inv_sq_widths, seg.weights)
     if m > 1:  # node-major (h, m, k): parameters are (h, m, 1) columns
         bias, center, nisw, w = (p[:, :, None] for p in params)
     else:  # point-major (k, h): parameters are (h,) rows

@@ -1,7 +1,7 @@
 """Paired benchmark runs of a base revision against the working tree.
 
     python3 tools/bench_pairs.py --base HEAD --out BENCH_8.json \\
-        --pairs hires-rpnn=10 --pairs hires-classical=5 --seed 101
+        --pairs hires-rpnn=10 --pairs hires-classical=10 --seed 101
 
 The base revision is exported with ``git archive`` into a temporary
 directory (nothing is registered in ``.git``), and ``perfbench/run.py`` of
@@ -45,6 +45,19 @@ def export(rev: str, dest: Path) -> None:
                          capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
         archive.extractall(dest, filter="data")
+
+
+def working_tree() -> dict:
+    """The measured tree: a commit of its tracked files and the tree hash of its src/.
+
+    ``git stash create`` writes a commit of the tracked files, changed or not,
+    without touching any ref; on a clean tree it prints nothing and HEAD is
+    that commit.
+    """
+    rev = git("stash", "create") or git("rev-parse", "HEAD")
+    head = git("rev-parse", "HEAD")
+    return {"rev": rev, "head": head, "uncommitted": rev != head,
+            "src_tree": git("rev-parse", f"{rev}:src")}
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -103,8 +116,6 @@ def parse_args(argv):
     parser.add_argument("--pairs", action="append", required=True, metavar="WORKLOAD=N",
                         help="pairs to run on a workload (repeatable)")
     parser.add_argument("--seed", type=int, required=True, help="seed of the first pair")
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="seconds per run (default: run_seconds of BENCHMARK.json)")
     args = parser.parse_args(argv)
     plan = []
     for item in args.pairs:
@@ -118,12 +129,11 @@ def parse_args(argv):
 def main(argv=None) -> int:
     args, plan = parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds or spec["run_seconds"]
+    seconds = spec["run_seconds"]
     base_rev = git("rev-parse", args.base)
     report = {
-        "base": {"rev": base_rev},
-        "head": {"working_tree_of": git("rev-parse", "HEAD"),
-                 "src_uncommitted": bool(git("status", "--porcelain", "--", "src"))},
+        "base": {"rev": base_rev, "src_tree": git("rev-parse", f"{base_rev}:src")},
+        "head": working_tree(),
         "command": ["python3", "tools/bench_pairs.py", *(argv or sys.argv[1:])],
         "seconds_per_run": seconds,
         "workloads": {},
