@@ -36,7 +36,13 @@ reaching x_end raises StepUnderflowError.
 Both record the state and its derivative at every accepted point for dense
 output through :func:`dense_eval`: dp45 trajectories additionally carry the
 pair's quartic continuous extension, while implicit trajectories interpolate
-with cubic Hermite on their (smaller) steps.
+with cubic Hermite on their (smaller) steps.  Like the MATLAB suite's dense
+output, which works one step's interpolant at a time, :func:`dense_eval`
+works through the points in blocks sized like the rpnn evaluator's
+(``trial._BLOCK_VALUES`` values per block), so its scratch stays in cache
+rather than growing with the grid.  The interpolation formulas are
+elementwise IEEE +, -, *, / on each point, with no reduction across points,
+so the blocked values are bit for bit those of one whole-array pass.
 """
 
 from __future__ import annotations
@@ -47,6 +53,7 @@ import numpy as np
 
 from .errors import NumericError, StepUnderflowError
 from .problems import OdeProblem
+from .trial import _BLOCK_VALUES
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -165,9 +172,14 @@ class Trajectory:
     extension: np.ndarray | None = None
 
     def __post_init__(self):
+        if len(self.abscissae) < 2:
+            raise ValueError("a trajectory needs at least 2 abscissae")
         if len(self.abscissae) != len(self.states) or len(self.states) != len(self.derivatives):
             raise ValueError("inconsistent trajectory shapes")
-        if len(self.abscissae) > 1 and not np.all(np.diff(self.abscissae) > 0):
+        arrays = (self.abscissae, self.states, self.derivatives, self.extension)
+        if not all(a is None or np.isfinite(a).all() for a in arrays):
+            raise ValueError("trajectory abscissae, states, derivatives and extension must be finite")
+        if not np.all(np.diff(self.abscissae) > 0):
             raise ValueError("abscissae must be strictly increasing")
         if self.extension is not None and len(self.extension) != len(self.abscissae) - 1:
             raise ValueError("extension must hold one coefficient block per step")
@@ -349,11 +361,19 @@ def dense_eval(traj: Trajectory, x) -> np.ndarray:
     trajectory carries one, and cubic Hermite interpolation of the stored
     states and derivatives otherwise.  Either way the values are exact at
     accepted abscissae.  Shape follows the input: (m,) for scalar x, else
-    (k, m).  Raises ValueError when a point lies outside the trajectory or
-    is NaN.
+    (k, m).  Raises ValueError when x has more than one dimension, or when
+    a point lies outside the trajectory or is NaN.
+
+    The points are checked once and then interpolated in blocks of
+    ``_BLOCK_VALUES // (4*m)`` points (2,048 for m = 8), so a block's
+    (points, 4, m) coefficient gather stays in L2 cache; each block writes
+    its slice of the one (k, m) output.  Every operation acts on each point
+    alone, with no reduction across points, so the values are bit for bit
+    those of one pass over the whole array.
     """
     xs = np.asarray(x, dtype=float)
-    scalar = xs.ndim == 0
+    if xs.ndim > 1:
+        raise ValueError(f"evaluation points must be a scalar or 1-d, got shape {xs.shape}")
     pts = np.atleast_1d(xs)
     t = traj.abscissae
     if pts.size and not (pts.min() >= t[0] and pts.max() <= t[-1]):
@@ -361,6 +381,17 @@ def dense_eval(traj: Trajectory, x) -> np.ndarray:
             f"evaluation points must lie in [{t[0]}, {t[-1]}], "
             f"got range [{pts.min()}, {pts.max()}]"
         )
+    m = traj.states.shape[1]
+    size = max(1, _BLOCK_VALUES // (4 * m))
+    out = np.empty((len(pts), m))
+    for lo in range(0, len(pts), size):
+        _interpolate(traj, pts[lo : lo + size], out[lo : lo + size])
+    return out[0] if xs.ndim == 0 else out
+
+
+def _interpolate(traj: Trajectory, pts: np.ndarray, out: np.ndarray) -> None:
+    """Write the dense output at the 1-d points ``pts`` into ``out`` (k, m)."""
+    t = traj.abscissae
     idx = np.clip(np.searchsorted(t, pts, side="right") - 1, 0, len(t) - 2)
     dt = (t[idx + 1] - t[idx])[:, None]
     theta = ((pts - t[idx]) / (t[idx + 1] - t[idx]))[:, None]
@@ -369,17 +400,16 @@ def dense_eval(traj: Trajectory, x) -> np.ndarray:
         poly = coeff[:, 3]
         for d in (2, 1, 0):
             poly = poly * theta + coeff[:, d]
-        out = traj.states[idx] + dt * theta * poly
+        out[:] = traj.states[idx] + dt * theta * poly
         # exact right-trajectory endpoint (theta == 1 only occurs there)
         at_end = theta[:, 0] == 1.0
         if np.any(at_end):
             out[at_end] = traj.states[idx[at_end] + 1]
     else:
         t2, t3 = theta * theta, theta * theta * theta
-        out = (
+        out[:] = (
             (2 * t3 - 3 * t2 + 1) * traj.states[idx]
             + (t3 - 2 * t2 + theta) * dt * traj.derivatives[idx]
             + (-2 * t3 + 3 * t2) * traj.states[idx + 1]
             + (t3 - t2) * dt * traj.derivatives[idx + 1]
         )
-    return out[0] if scalar else out

@@ -237,10 +237,13 @@ def eval_solution(sol: PiecewiseSolution, x) -> np.ndarray:
 
     Points may come in any order, with repeats.  Segments own right-closed
     intervals, with x0 belonging to the first; at interior knots both
-    neighbours agree exactly by construction.  Raises ValueError when a
-    point lies outside [x0, x_end] or is NaN.
+    neighbours agree exactly by construction.  Raises ValueError when x has
+    more than one dimension, or when a point lies outside [x0, x_end] or is
+    NaN.
     """
     xs = np.asarray(x, dtype=float)
+    if xs.ndim > 1:
+        raise ValueError(f"evaluation points must be a scalar or 1-d, got shape {xs.shape}")
     scalar = xs.ndim == 0
     pts = np.atleast_1d(xs)
     if pts.size and not (pts.min() >= sol.x0 and pts.max() <= sol.x_end):

@@ -5,8 +5,9 @@ code replaces, or helpers that only tests need: single Gaussian bumps, the
 plain broadcast forms of a basis's Gaussians and of psi and dpsi/dx, the
 per-weight trial-function derivatives, the flat index bijections of the
 collocation system, checked rhs/Jacobian evaluation at one point, the
-pointwise definitions of the four benchmark problems, and residual/Jacobian
-assembly with one rhs/Jacobian call per collocation point.
+pointwise definitions of the four benchmark problems, residual/Jacobian
+assembly with one rhs/Jacobian call per collocation point, and dense output
+of a classical trajectory in one pass over the whole array of points.
 """
 
 import dataclasses
@@ -246,3 +247,36 @@ def assemble_jacobian_loop(problem, seg, grid) -> np.ndarray:
     if not np.all(np.isfinite(out)):
         raise NumericError(f"non-finite Jacobian for {problem.name!r}")
     return out
+
+
+def whole_array_dense_eval(traj, x) -> np.ndarray:
+    """Dense output of a classical trajectory in one pass over all points.
+
+    The quartic continuous extension when the trajectory carries one, cubic
+    Hermite otherwise; (m,) for scalar x, else (k, m).
+    """
+    xs = np.asarray(x, dtype=float)
+    pts = np.atleast_1d(xs)
+    t = traj.abscissae
+    idx = np.clip(np.searchsorted(t, pts, side="right") - 1, 0, len(t) - 2)
+    dt = (t[idx + 1] - t[idx])[:, None]
+    theta = ((pts - t[idx]) / (t[idx + 1] - t[idx]))[:, None]
+    if traj.extension is not None:
+        coeff = traj.extension[idx]  # (k, 4, m)
+        poly = coeff[:, 3]
+        for d in (2, 1, 0):
+            poly = poly * theta + coeff[:, d]
+        out = traj.states[idx] + dt * theta * poly
+        # exact right-trajectory endpoint (theta == 1 only occurs there)
+        at_end = theta[:, 0] == 1.0
+        if np.any(at_end):
+            out[at_end] = traj.states[idx[at_end] + 1]
+    else:
+        t2, t3 = theta * theta, theta * theta * theta
+        out = (
+            (2 * t3 - 3 * t2 + 1) * traj.states[idx]
+            + (t3 - 2 * t2 + theta) * dt * traj.derivatives[idx]
+            + (-2 * t3 + 3 * t2) * traj.states[idx + 1]
+            + (t3 - t2) * dt * traj.derivatives[idx + 1]
+        )
+    return out[0] if xs.ndim == 0 else out

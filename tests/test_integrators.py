@@ -1,8 +1,11 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from oracles import whole_array_dense_eval
 from rpnn_ode import (
     OdeProblem,
     StepControl,
@@ -14,6 +17,7 @@ from rpnn_ode import (
 )
 from rpnn_ode import integrators
 from rpnn_ode.integrators import (
+    _BLOCK_VALUES,
     _DP_B,
     _DP_E,
     _MAX_NEWTON,
@@ -279,6 +283,93 @@ def test_dense_eval_rejects_nan():
         dense_eval(traj, math.nan)
     with pytest.raises(ValueError):
         dense_eval(traj, np.array([0.1, math.nan, 0.9]))
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 3), (1, 1), (3, 1, 2)])
+def test_dense_eval_rejects_multidimensional_points(shape):
+    ctrl = StepControl(1e-8, 1e-8)
+    pts = np.linspace(0.1, 0.9, math.prod(shape)).reshape(shape)
+    for traj in (dp45_solve(DECAY, ctrl), sdirk_solve(DECAY, ctrl)):
+        with pytest.raises(ValueError, match="1-d"):
+            dense_eval(traj, pts)
+
+
+def test_trajectory_rejects_too_few_or_non_finite_points():
+    traj = dp45_solve(OSCILLATOR, StepControl(1e-6, 1e-6))
+    fields = dataclasses.asdict(traj)
+    assert Trajectory(**fields).n_steps == traj.n_steps
+    for n in (0, 1):
+        with pytest.raises(ValueError, match="at least 2"):
+            Trajectory(traj.abscissae[:n], traj.states[:n], traj.derivatives[:n], 0, 0)
+    for name in ("abscissae", "states", "derivatives", "extension"):
+        for bad in (math.nan, math.inf, -math.inf):
+            values = fields[name].copy()
+            values.flat[-1] = bad
+            with pytest.raises(ValueError, match="finite"):
+                Trajectory(**{**fields, name: values})
+
+
+# benchmark parameters and a cut span per problem: ROBER's dp45 step is
+# stability-bound, so its span is cut to keep the solve short
+CLASSICAL = {"hires": ({}, {}), "rober": ({}, {"x_end": 1.0}),
+             "van_der_pol": ({"mu": 1.0}, {}), "prothero_robinson": ({"lam": -10.0}, {})}
+
+
+@pytest.fixture(scope="module")
+def classical_trajectory():
+    """Memoized dp45 and sdirk trajectories of the four benchmark problems at 1e-6."""
+    cache = {}
+
+    def get(name, method):
+        if (name, method) not in cache:
+            params, span = CLASSICAL[name]
+            problem = dataclasses.replace(make_benchmark(name, **params), **span)
+            solve = dp45_solve if method == "dp45" else sdirk_solve
+            cache[name, method] = solve(problem, StepControl(1e-6, 1e-6))
+        return cache[name, method]
+
+    return get
+
+
+def assert_bitwise_the_oracle(traj, x):
+    got, want = dense_eval(traj, x), whole_array_dense_eval(traj, x)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("method", ["dp45", "sdirk"])
+@pytest.mark.parametrize("name", sorted(CLASSICAL))
+def test_blocked_dense_eval_is_bitwise_the_whole_array_oracle(classical_trajectory, name, method):
+    traj = classical_trajectory(name, method)
+    assert (traj.extension is not None) == (method == "dp45")
+    t = traj.abscissae
+    m = traj.states.shape[1]
+    block = _BLOCK_VALUES // (4 * m)
+    for n in (block - 1, block, block + 1, 2 * block + 1, 150_001):
+        assert_bitwise_the_oracle(traj, np.linspace(t[0], t[-1], n))  # x_end in the last block
+    rng = np.random.default_rng(len(t))
+    pts = np.concatenate([rng.uniform(t[0], t[-1], 2 * block + 3), t, t[::5], [t[-1]] * 3])
+    assert_bitwise_the_oracle(traj, pts[rng.permutation(len(pts))])
+    assert_bitwise_the_oracle(traj, t)
+    assert_bitwise_the_oracle(traj, np.empty(0))
+    for x in (t[0], t[len(t) // 2], 0.5 * (t[0] + t[-1]), t[-1]):
+        assert_bitwise_the_oracle(traj, x)
+    assert np.array_equal(dense_eval(traj, t), traj.states)
+
+
+@pytest.mark.parametrize("method", ["dp45", "sdirk"])
+def test_dense_eval_peak_memory_is_the_output_plus_one_block(classical_trajectory, method):
+    traj = classical_trajectory("hires", method)
+    grid = np.linspace(traj.abscissae[0], traj.abscissae[-1], 150_001)
+    tracemalloc.start()
+    try:
+        out = dense_eval(traj, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 9.6 MB output plus one 2,048-point block (about 1 MB of scratch); one pass
+    # over the whole grid peaks at 36 MB (Hermite) and 72 MB (quartic)
+    assert peak < out.nbytes + 2**21
 
 
 def test_step_control_validation():

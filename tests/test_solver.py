@@ -338,3 +338,11 @@ def test_eval_solution_rejects_nan():
         eval_solution(sol, math.nan)
     with pytest.raises(ValueError):
         eval_solution(sol, np.array([0.5, math.nan, 1.0]))
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (1, 1), (3, 1, 2)])
+def test_eval_solution_rejects_multidimensional_points(shape):
+    sol = random_piecewise(7, 2)
+    pts = np.linspace(sol.x0, sol.x_end, math.prod(shape)).reshape(shape)
+    with pytest.raises(ValueError, match="1-d"):
+        eval_solution(sol, pts)
