@@ -162,6 +162,12 @@ class PiecewiseSolution:
         for left_stop, right_start in zip(stops[:-1], starts[1:]):
             if left_stop != right_start:
                 raise ValueError("segments are not contiguous")
+        if any(seg.basis.m != self.m for seg in self.segments):
+            raise ValueError(f"segments must all have m={self.m} components")
+        if len(self.iterations) != len(self.segments):
+            raise ValueError(
+                f"{len(self.iterations)} iteration counts for {len(self.segments)} segments"
+            )
         object.__setattr__(self, "knots", np.array([self.x0] + stops))
         object.__setattr__(self, "segments", tuple(self.segments))
         object.__setattr__(self, "iterations", tuple(self.iterations))

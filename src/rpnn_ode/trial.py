@@ -28,10 +28,48 @@ formula's node axis is contiguous and summed pairwise, and a node-major sum
 would differ in the last bits (by up to about 1e-14).  So m = 1 keeps the
 point-major (k, h) layout, with the parameters as (h,) rows, and sums over
 its contiguous node axis as the formula does.
+
+A call that spans two or more blocks also expands the four parameter
+operands once, to a whole block's contiguous (h, m, B) or (B, h) shape (the
+last, shorter block takes a slice), and runs its blocks on w = min(_CPUS,
+blocks) shares, each taking the next block from one queue until none is
+left.  The calling thread runs one share and a thread pool made for the call
+runs the others; each share has its own scratch buffer and writes its own
+rows of the one output.  Neither step changes a bit.  The passes are
+elementwise, and an IEEE operation on two doubles gives the same result
+whether an operand is broadcast or stored; and a point's node sum never
+leaves its block, so its value comes from the same operations in the same
+order whichever thread runs the block.  numpy releases the interpreter lock
+inside these loops, so the shares run in parallel; they make no BLAS call,
+so they start no per-thread OpenBLAS buffers.  Helpers run in a copy of the
+caller's context, so numpy's floating-point error state (``np.errstate``)
+holds in them as in the caller.  ``_CPUS`` is the number of CPUs the process
+may run on, read at import.  A call with a single block, such as the
+one-point evaluation at the end of each accepted segment, runs inline with
+the broadcast operands and no thread.
+
+Measured on 2 vCPUs on the 150,001-point HIRES grid: a broadcast (h, m, 1)
+operand makes its pass run at about half the speed of a contiguous one, and
+these four passes were about two thirds of a block's time.  In prototypes
+under ``perfbench/run.py --workload hires-rpnn`` (45-s runs), threads alone
+took ``eval_mpts_s`` from 0.55-0.62 to 1.0-1.07 Mpts/s, threads with
+contiguous operands to 1.05-1.14, for 3 MB more peak RSS; with the second
+vCPU busy, the contiguous operands alone gave 1.05-1.17x.  A fixed split
+(share i taking blocks i, i + w, i + 2w, ...) leaves the caller waiting for
+a helper whose vCPU another process holds; in ten sets of ten evaluations
+the queue gave 0.76-1.29 Mpts/s against 0.69-1.20 for the fixed split, more
+in the busy sets and the same within noise in the quiet ones.  The classical
+``integrators.dense_eval`` stays serial: its blocks are small gathers bound
+by the interpreter lock, and threading it took the sdirk trajectory's
+evaluation from 38.6 to 32.6 ms but dp45's from 35.1 to 39.6 ms.
 """
 
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +77,8 @@ import numpy as np
 from .basis import RbfSegmentBasis
 
 _BLOCK_VALUES = 1 << 16  # scratch values per block: 512 KiB of float64
+# threads a multi-block evaluation runs on: the CPUs this process may use
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 @dataclass
@@ -80,22 +120,25 @@ def _block_len(h: int, m: int) -> int:
     return max(1, _BLOCK_VALUES // (h * m))
 
 
-def _combine(seg: SegmentSolution, xs: np.ndarray) -> np.ndarray:
-    """Evaluate psi at a 1-d array of points, block by block."""
-    b = seg.basis
-    h, m = b.h, b.m
-    params = (b.biases, b.centers[:, None], -b.inv_sq_widths, seg.weights)
-    if m > 1:  # node-major (h, m, k): parameters are (h, m, 1) columns
-        bias, center, nisw, w = (p[:, :, None] for p in params)
-    else:  # point-major (k, h): parameters are (h,) rows
-        bias, center, nisw, w = (p.ravel() for p in params)
-    size = max(1, min(len(xs), _block_len(h, m)))
+def _eval_blocks(seg: SegmentSolution, xs, take, size: int, ops, out: np.ndarray) -> None:
+    """One share of a _combine call: evaluates blocks until ``take()`` gives None.
+
+    ``take()`` gives the index of the next block's first point; blocks have
+    ``size`` points, the last one maybe fewer.  ``ops`` are the bias, center,
+    -1/sigma^2 and weight operands, either columns or rows that broadcast over
+    a block or arrays of a whole block's shape.  Writes the blocks' rows of
+    ``out``, in a scratch buffer of its own.
+    """
+    h, m = seg.basis.h, seg.basis.m
     buf = np.empty(size * h * m)
-    out = np.empty((len(xs), m))
-    for lo in range(0, len(xs), size):
+    while (lo := take()) is not None:
         block = xs[lo : lo + size]
         k = len(block)
         g = buf[: k * h * m].reshape((h, m, k) if m > 1 else (k, h))
+        # only a multi-block call has a shorter block, and its operands are
+        # block-shaped: cut them to the block
+        bias, center, nisw, w = ops if k == size else [
+            p[:, :, :k] if m > 1 else p[:k] for p in ops]
         np.add(block if m > 1 else block[:, None], bias, out=g)
         np.subtract(g, center, out=g)
         np.multiply(g, g, out=g)
@@ -105,6 +148,44 @@ def _combine(seg: SegmentSolution, xs: np.ndarray) -> np.ndarray:
         sums = g.sum(axis=0).T if m > 1 else g.sum(axis=1)[:, None]
         ramp = (block - seg.x_start)[:, None]
         out[lo : lo + k] = seg.alpha + ramp * sums
+
+
+def _combine(seg: SegmentSolution, xs: np.ndarray) -> np.ndarray:
+    """Evaluate psi at a 1-d array of points, block by block, on up to _CPUS threads."""
+    b = seg.basis
+    h, m = b.h, b.m
+    size = max(1, min(len(xs), _block_len(h, m)))
+    starts = range(0, len(xs), size)
+    params = (b.biases, b.centers[:, None], -b.inv_sq_widths, seg.weights)
+    if m > 1:  # node-major (h, m, k): parameters are (h, m, 1) columns
+        ops = [p[:, :, None] for p in params]
+        shape = (h, m, size)
+    else:  # point-major (k, h): parameters are (h,) rows
+        ops = [p.ravel() for p in params]
+        shape = (size, h)
+    if len(starts) > 1:  # expanded once, each pass over a block runs contiguous
+        ops = [np.broadcast_to(p, shape).copy() for p in ops]
+    out = np.empty((len(xs), m))
+    pending = iter(starts)
+    lock = threading.Lock()
+
+    def take():
+        with lock:
+            return next(pending, None)
+
+    workers = min(_CPUS, len(starts))
+    if workers < 2:  # one CPU, or at most one block: no thread
+        _eval_blocks(seg, xs, take, size, ops, out)
+        return out
+    with ThreadPoolExecutor(workers - 1) as pool:
+        helpers = [
+            pool.submit(contextvars.copy_context().run, _eval_blocks, seg, xs, take, size,
+                        ops, out)
+            for _ in range(workers - 1)
+        ]
+        _eval_blocks(seg, xs, take, size, ops, out)
+        for future in helpers:
+            future.result()
     return out
 
 

@@ -142,6 +142,24 @@ def test_eval_non_finite_solution_exits_3(tmp_path, field, value):
     assert main(["eval", "--solution", str(sol_path), "--grid-size", "10"]) == 3
 
 
+@pytest.fixture(scope="module")
+def hires_solution_data(tmp_path_factory):
+    path = tmp_path_factory.mktemp("hires") / "hires.json"
+    assert main(["solve", "--problem", "hires", "--tol", "1e-3", "--seed", "5",
+                 "--save-solution", str(path)]) == 0
+    return json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("field, value", [("m", 3), ("iterations", [1])])
+def test_eval_solution_inconsistent_with_its_segments_exits_3(tmp_path, capsys,
+                                                               hires_solution_data, field, value):
+    data = dict(hires_solution_data, **{field: value})
+    sol_path = tmp_path / "hires.json"
+    sol_path.write_text(json.dumps(data))
+    assert main(["eval", "--solution", str(sol_path), "--grid-size", "1000"]) == 3
+    assert "malformed solution data" in capsys.readouterr().err
+
+
 def test_solve_io_failure_exits_3(tmp_path):
     assert main(["solve", "--problem", "pr", "--tol", "1e-3",
                  "--out", str(tmp_path / "no_such_dir" / "x.csv")]) == 3

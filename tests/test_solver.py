@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from rpnn_ode import (
     trial_eval,
 )
 from rpnn_ode import solver as solver_module
+from rpnn_ode import trial as trial_module
 from rpnn_ode.errors import NumericError
 from rpnn_ode.solver import TrainResult, assemble_jacobian, truncated_pinv_solve
 
@@ -346,3 +350,99 @@ def test_eval_solution_rejects_multidimensional_points(shape):
     pts = np.linspace(sol.x0, sol.x_end, math.prod(shape)).reshape(shape)
     with pytest.raises(ValueError, match="1-d"):
         eval_solution(sol, pts)
+
+
+def test_piecewise_solution_rejects_a_component_count_its_segments_do_not_have():
+    sol = random_piecewise(8, 2)
+    fields = dict(problem_name="random", x0=sol.x0, x_end=sol.x_end, segments=sol.segments,
+                  iterations=sol.iterations, total_points=0)
+    assert PiecewiseSolution(m=2, **fields).m == 2
+    with pytest.raises(ValueError, match="m=3"):
+        PiecewiseSolution(m=3, **fields)
+
+
+def test_piecewise_solution_rejects_one_iteration_count_per_segment_too_few_or_many():
+    sol = random_piecewise(9, 2)
+    fields = dict(problem_name="random", m=2, x0=sol.x0, x_end=sol.x_end,
+                  segments=sol.segments, total_points=0)
+    for iterations in ((1,), (0,) * (sol.n_segments + 1)):
+        with pytest.raises(ValueError, match="iteration counts"):
+            PiecewiseSolution(iterations=iterations, **fields)
+
+
+@pytest.fixture(scope="module")
+def solved():
+    """solved(name, seed): the default-config solve of a benchmark, made once."""
+    cache = {}
+    params = {"hires": {}, "rober": {}, "vdp": {"mu": 100.0}, "pr": {}}
+
+    def get(name, seed):
+        if (name, seed) not in cache:
+            cache[name, seed] = solve_adaptive(make_benchmark(name, **params[name]),
+                                               SolverConfig(seed=seed))
+        return cache[name, seed]
+
+    return get
+
+
+@pytest.mark.parametrize("name", ["hires", "rober", "vdp", "pr"])
+def test_eval_solution_of_the_benchmarks_is_bitwise_the_masked_broadcast_formula(solved, name):
+    for seed in range(4):
+        sol = solved(name, seed)
+        xs = np.linspace(sol.x0, sol.x_end, 20_001)
+        assert np.array_equal(eval_solution(sol, xs), masked_broadcast_eval(sol, xs)), seed
+        rng = np.random.default_rng(seed)
+        ys = np.concatenate([xs, sol.knots, xs[::7]])
+        ys = ys[rng.permutation(len(ys))]
+        assert np.array_equal(eval_solution(sol, ys), masked_broadcast_eval(sol, ys)), seed
+
+
+def test_concurrent_evaluations_each_get_the_serial_bits(monkeypatch):
+    sols = [random_piecewise(70 + m, m, n_segments=3) for m in (1, 2, 3, 8)]
+    xs = [np.linspace(sol.x0, sol.x_end, 6_000) for sol in sols]
+    monkeypatch.setattr(trial_module, "_CPUS", 1)
+    serial = [eval_solution(sol, x) for sol, x in zip(sols, xs)]
+    monkeypatch.setattr(trial_module, "_CPUS", 2)
+    start = threading.Barrier(len(sols))
+    results = [[] for _ in sols]
+
+    def evaluate(i):
+        start.wait()
+        for _ in range(5):
+            results[i].append(eval_solution(sols[i], xs[i]))
+
+    threads = [threading.Thread(target=evaluate, args=(i,)) for i in range(len(sols))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for want, got in zip(serial, results):
+        assert len(got) == 5 and all(np.array_equal(want, values) for values in got)
+
+
+def test_dense_evaluation_of_hires_stays_within_its_scratch_budget(solved):
+    sol = solved("hires", 0)
+    xs = np.linspace(sol.x0, sol.x_end, 150_001)
+    widest = np.bincount(np.searchsorted(sol.knots[1:], xs, side="left")).max()
+    seg = sol.segments[0]
+    blocks = -(-widest // trial_module._block_len(seg.basis.h, sol.m))
+    workers = min(trial_module._CPUS, blocks)
+    block_bytes = 8 * trial_module._BLOCK_VALUES
+    budget = (8 * sol.m * len(xs)  # the result
+              + 2 * 8 * len(xs)  # the segment index and sort order of every point
+              + (sol.m + 2) * 8 * widest  # widest segment: its indices, points and values
+              + (workers + 4) * block_bytes  # a scratch block per share, 4 operands
+              + 2 * 2**20)
+    tracemalloc.start()
+    try:
+        eval_solution(sol, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < budget, (peak, budget)

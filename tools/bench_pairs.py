@@ -14,7 +14,8 @@ pairs of one workload back to back.
 The other side, "head", is the working tree as it is, committed or not.  The
 output file holds, per workload and end-to-end metric of ``BENCHMARK.json``,
 each side's median and quartiles over the runs, how many pairs the working
-tree won, and the relative change of the medians; per pair, both results,
+tree won, the relative change of the medians and a verdict (gain, worse,
+unresolved or flat; see ``verdict``); per pair, both results,
 the per-round fingerprints of both run records and whether they agree on the
 rounds both sides ran; and the machine block of the run records.
 """
@@ -87,6 +88,28 @@ def quartiles(values: list[float]) -> dict:
     return {"q1": q1, "median": median, "q3": q3}
 
 
+def verdict(entry: dict) -> str:
+    """gain, worse, unresolved or flat for one metric's summary.
+
+    gain: the working tree wins at least nine tenths of the pairs (ties count
+    for neither side) and its median is better by more than the base's
+    interquartile range.  worse: its median is worse by more than the
+    metric's relative bound.  unresolved: the base's interquartile range
+    exceeds the bound, so the runs cannot tell a change within the bound.
+    flat: anything else.
+    """
+    sign = 1.0 if entry["better"] == "higher" else -1.0
+    base = entry["base"]["median"]
+    gain = sign * (entry["head"]["median"] - base)  # > 0 when the working tree is better
+    if 10 * entry["head_wins"] >= 9 * entry["pairs"] and gain > entry["base_iqr"]:
+        return "gain"
+    if -gain > entry["bound"] * abs(base):
+        return "worse"
+    if entry["base_iqr"] > entry["bound"] * abs(base):
+        return "unresolved"
+    return "flat"
+
+
 def summarize(pairs: list[dict], spec: list[dict]) -> dict:
     out = {}
     for metric in spec:
@@ -106,6 +129,7 @@ def summarize(pairs: list[dict], spec: list[dict]) -> dict:
             "relative_change": (h["median"] - b["median"]) / b["median"] if b["median"] else None,
             "base_iqr": b["q3"] - b["q1"],
         }
+        out[name]["verdict"] = verdict(out[name])
     return out
 
 
@@ -174,7 +198,7 @@ def main(argv=None) -> int:
             print(f"{workload} {name}: base {m['base']['median']:.4g} "
                   f"[{m['base']['q1']:.4g}, {m['base']['q3']:.4g}]  head {m['head']['median']:.4g} "
                   f"[{m['head']['q1']:.4g}, {m['head']['q3']:.4g}]  "
-                  f"head wins {m['head_wins']}/{m['pairs']}")
+                  f"head wins {m['head_wins']}/{m['pairs']}  {m['verdict']}")
     return 0
 
 
