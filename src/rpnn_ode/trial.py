@@ -5,80 +5,59 @@ with N_i a linear combination of the segment's Gaussian bumps.  The ramp
 factor makes psi match the segment's initial values at x_start exactly, for
 any weights, so training only has to care about the differential equation.
 
-Dense evaluation works through the points in blocks of B = _BLOCK_VALUES //
-(h*m) points, so that one block's scratch stays in L2 cache.  A block of k
-points uses the first k*h*m values of one flat buffer allocated per call.
-Every step runs in place, in the order of the plain (k, h, m) broadcast
-formula psi = alpha + ramp*(g*weights).sum(axis=1) with g = exp(-((x + b) -
-c)^2 * 1/sigma^2): (x + b) - c, square, times -1/sigma^2, exp, times the
-weights.  Elementwise results do not depend on the layout.  Folding the sign
-into -1/sigma^2 is exact: IEEE rounding is symmetric in sign, so (-p)*s and
-p*(-s) are the same double.
+Dense evaluation works through the points in blocks and runs every step in
+place, in the order of the plain (k, h, m) broadcast formula psi = alpha +
+ramp*(g*weights).sum(axis=1) with g = exp(-((x + b) - c)^2 * 1/sigma^2):
+(x + b) - c, square, times -1/sigma^2, exp, times the weights.  Elementwise
+results do not depend on the layout.  Folding the sign into -1/sigma^2 is
+exact: IEEE rounding is symmetric in sign, so (-p)*s and p*(-s) are the same
+double.
 
 The sum over nodes is what fixes the bits, and the order of a numpy sum
 depends on the memory layout: a reduced axis that is contiguous is summed
 pairwise, a strided one term by term.  For m > 1 the node axis of the
 formula's (k, h, m) array is strided, so each output is ((g_0 + g_1) + g_2)
-+ ...  The block is laid out node-major, (h, m, k), with the parameters as
-(h, m, 1) columns over contiguous runs of points (the centers, which all
-components share, as (h, 1, 1)); ``g.sum(axis=0)`` then
-adds the h contiguous (m, k) slabs one after another, the same terms in the
-same order, so the result is bitwise identical to the formula.  For m = 1 the
-formula's node axis is contiguous and summed pairwise, and a node-major sum
-would differ in the last bits (by up to about 1e-14).  So m = 1 keeps the
-point-major (k, h) layout, with the parameters as (h,) rows, and sums over
-its contiguous node axis as the formula does.
++ ...  So an m > 1 block is laid out node-major, a group of nodes at a
+time: the group's terms fill a (nodes, m, k) slab, with the parameters as
+(nodes, m, 1) columns over contiguous runs of points (the centers, which all
+components share, as (nodes, 1, 1)).  The first group's ``g.sum(axis=0)``
+adds its contiguous (m, k) slabs one after another, and each later node's
+slab is added to that sum in turn, the same terms in the same order as the
+formula, so the result is bitwise identical to it.  For m = 1 the formula's
+node axis is contiguous and summed pairwise, and a node-major sum would
+differ in the last bits (by up to about 1e-14).  So m = 1 keeps a
+point-major (k, h) block of every node, with the parameters as (h,) rows,
+and sums over its contiguous node axis as the formula does.
 
-A call that spans two or more blocks also expands the four parameter
-operands once, to a whole block's contiguous (h, m, B) or (B, h) shape (the
-last, shorter block takes a slice), and runs its blocks on w = min(_CPUS,
-blocks) shares, each taking the next block from one queue until none is
-left.  The calling thread runs one share and a thread pool made for the call
-runs the others; each share has its own scratch buffer and writes its own
-rows of the one output.  Neither step changes a bit.  The passes are
-elementwise, and an IEEE operation on two doubles gives the same result
-whether an operand is broadcast or stored; and a point's node sum never
-leaves its block, so its value comes from the same operations in the same
-order whichever thread runs the block.  numpy releases the interpreter lock
-inside these loops, so the shares run in parallel; they make no BLAS call,
-so they start no per-thread OpenBLAS buffers.  Helpers run in a copy of the
-caller's context, so numpy's floating-point error state (``np.errstate``)
-holds in them as in the caller.  ``_CPUS`` is the number of CPUs the process
-may run on, read at import.  A call with a single block, such as the
-one-point evaluation at the end of each accepted segment, runs inline with
-the broadcast operands and no thread.
-
-Measured on 2 vCPUs on the 150,001-point HIRES grid: a broadcast (h, m, 1)
-operand makes its pass run at about half the speed of a contiguous one, and
-these four passes were about two thirds of a block's time.  In prototypes
-under ``perfbench/run.py --workload hires-rpnn`` (45-s runs), threads alone
-took ``eval_mpts_s`` from 0.55-0.62 to 1.0-1.07 Mpts/s, threads with
-contiguous operands to 1.05-1.14, for 3 MB more peak RSS; with the second
-vCPU busy, the contiguous operands alone gave 1.05-1.17x.  A fixed split
-(share i taking blocks i, i + w, i + 2w, ...) leaves the caller waiting for
-a helper whose vCPU another process holds; in ten sets of ten evaluations
-the queue gave 0.76-1.29 Mpts/s against 0.69-1.20 for the fixed split, more
-in the busy sets and the same within noise in the quiet ones.  The classical
-``integrators.dense_eval`` stays serial: its blocks are small gathers bound
-by the interpreter lock, and threading it took the sdirk trajectory's
-evaluation from 38.6 to 32.6 ms but dp45's from 35.1 to 39.6 ms.
+Block sizes.  An m = 1 block holds B = _BLOCK_VALUES // h points, so that its
+(k, h) scratch stays in L2 cache.  An m > 1 block holds B = _BLOCK_VALUES // m
+points (8,192 for HIRES) and a slab holds as many nodes as fit in
+_BLOCK_VALUES values, at least one and at most h: one node in a full HIRES
+block, every node in a call on at most _BLOCK_VALUES // (h*m) points, such
+as a short segment or the one-point evaluation at the end of each accepted
+segment.  The slab and the (m, k) sum, 512 KiB each at most, stay in L2
+cache, and where the points or the nodes are cut changes no operation on a
+point.  Rows are long on purpose: three of the six passes broadcast an (m, 1)
+column per node (the first also broadcasts the points over the rows), and
+numpy runs such a pass over rows of fewer than a few thousand values through
+its iterator buffer, at three to four times the cost of a contiguous pass.
+A block of every node at once, with k = 204 points for HIRES, ran every such
+pass in 204-value rows.  Measured on a 2-vCPU Xeon (AVX-512, numpy 2.4), the
+passes over 8,192-point rows cost about 2.3 ns per node value, and one
+``eval_solution`` of the 150,001-point HIRES grid took 0.13-0.18 s against
+0.25 s with 204-point blocks; ROBER, van der Pol and Prothero-Robinson,
+whose segments are mostly short, did not get slower.
 """
 
 from __future__ import annotations
 
-import contextvars
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .basis import RbfSegmentBasis
 
-_BLOCK_VALUES = 1 << 16  # scratch values per block: 512 KiB of float64
-# threads a multi-block evaluation runs on: the CPUs this process may use
-_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_BLOCK_VALUES = 1 << 16  # values per scratch array: 512 KiB of float64
 
 
 @dataclass
@@ -116,76 +95,59 @@ class SegmentSolution:
 
 
 def _block_len(h: int, m: int) -> int:
-    """Points per evaluation block for h nodes and m components."""
-    return max(1, _BLOCK_VALUES // (h * m))
+    """Points per evaluation block for h nodes and m components.
 
-
-def _eval_blocks(seg: SegmentSolution, xs, take, size: int, ops, out: np.ndarray) -> None:
-    """One share of a _combine call: evaluates blocks until ``take()`` gives None.
-
-    ``take()`` gives the index of the next block's first point; blocks have
-    ``size`` points, the last one maybe fewer.  ``ops`` are the bias, center,
-    -1/sigma^2 and weight operands, either columns or rows that broadcast over
-    a block or arrays of a whole block's shape.  Writes the blocks' rows of
-    ``out``, in a scratch buffer of its own.
+    An m = 1 block's (k, h) array holds every node; an m > 1 block's points
+    fill one node's (m, k) slab.
     """
-    h, m = seg.basis.h, seg.basis.m
-    buf = np.empty(size * h * m)
-    while (lo := take()) is not None:
-        block = xs[lo : lo + size]
-        k = len(block)
-        g = buf[: k * h * m].reshape((h, m, k) if m > 1 else (k, h))
-        # only a multi-block call has a shorter block, and its operands are
-        # block-shaped: cut them to the block
-        bias, center, nisw, w = ops if k == size else [
-            p[:, :, :k] if m > 1 else p[:k] for p in ops]
-        np.add(block if m > 1 else block[:, None], bias, out=g)
-        np.subtract(g, center, out=g)
-        np.multiply(g, g, out=g)
-        np.multiply(g, nisw, out=g)
-        np.exp(g, out=g)
-        np.multiply(g, w, out=g)
-        sums = g.sum(axis=0).T if m > 1 else g.sum(axis=1)[:, None]
-        ramp = (block - seg.x_start)[:, None]
-        out[lo : lo + k] = seg.alpha + ramp * sums
+    return max(1, _BLOCK_VALUES // (h if m == 1 else m))
+
+
+def _node_terms(x, bias, center, nisw, w, g: np.ndarray) -> None:
+    """g = w * exp(((x + bias) - center)^2 * nisw), in place in g, step by step."""
+    np.add(x, bias, out=g)
+    np.subtract(g, center, out=g)
+    np.multiply(g, g, out=g)
+    np.multiply(g, nisw, out=g)
+    np.exp(g, out=g)
+    np.multiply(g, w, out=g)
 
 
 def _combine(seg: SegmentSolution, xs: np.ndarray) -> np.ndarray:
-    """Evaluate psi at a 1-d array of points, block by block, on up to _CPUS threads."""
+    """Evaluate psi at a 1-d array of points, block by block."""
     b = seg.basis
     h, m = b.h, b.m
     size = max(1, min(len(xs), _block_len(h, m)))
-    starts = range(0, len(xs), size)
-    params = (b.biases, b.centers[:, None], -b.inv_sq_widths, seg.weights)
-    if m > 1:  # node-major (h, m, k): parameters are (h, m, 1) columns
-        ops = [p[:, :, None] for p in params]
-        shape = (h, m, size)
-    else:  # point-major (k, h): parameters are (h,) rows
-        ops = [p.ravel() for p in params]
-        shape = (size, h)
-    if len(starts) > 1:  # expanded once, each pass over a block runs contiguous
-        ops = [np.broadcast_to(p, shape).copy() for p in ops]
+    nisw = -b.inv_sq_widths
     out = np.empty((len(xs), m))
-    pending = iter(starts)
-    lock = threading.Lock()
-
-    def take():
-        with lock:
-            return next(pending, None)
-
-    workers = min(_CPUS, len(starts))
-    if workers < 2:  # one CPU, or at most one block: no thread
-        _eval_blocks(seg, xs, take, size, ops, out)
-        return out
-    with ThreadPoolExecutor(workers - 1) as pool:
-        helpers = [
-            pool.submit(contextvars.copy_context().run, _eval_blocks, seg, xs, take, size,
-                        ops, out)
-            for _ in range(workers - 1)
-        ]
-        _eval_blocks(seg, xs, take, size, ops, out)
-        for future in helpers:
-            future.result()
+    if m == 1:  # point-major (k, h): parameters are (h,) rows
+        params = [p.ravel() for p in (b.biases, b.centers, nisw, seg.weights)]
+        buf = np.empty(size * h)
+    else:  # node-major (nodes, m, k): parameters are (h, m, 1) columns
+        params = [p[:, :, None] for p in (b.biases, b.centers[:, None], nisw, seg.weights)]
+        group = max(1, min(h, _BLOCK_VALUES // (m * size)))  # nodes per slab
+        buf, acc = np.empty(group * m * size), np.empty(m * size)
+    for lo in range(0, len(xs), size):
+        block = xs[lo : lo + size]
+        k = len(block)
+        if m == 1:
+            g = buf[: k * h].reshape(k, h)
+            _node_terms(block[:, None], *params, g)
+            sums = g.sum(axis=1)[:, None]
+        else:
+            sums = acc[: m * k].reshape(m, k)
+            for j in range(0, h, group):
+                g = buf[: min(group, h - j) * m * k].reshape(-1, m, k)
+                _node_terms(block, *(p[j : j + group] for p in params), g)
+                if j == 0:
+                    np.sum(g, axis=0, out=sums)
+                else:
+                    for slab in g:
+                        np.add(sums, slab, out=sums)
+            sums = sums.T
+        rows = out[lo : lo + k]
+        np.multiply((block - seg.x_start)[:, None], sums, out=rows)
+        np.add(seg.alpha, rows, out=rows)
     return out
 
 

@@ -397,12 +397,10 @@ def test_eval_solution_of_the_benchmarks_is_bitwise_the_masked_broadcast_formula
         assert np.array_equal(eval_solution(sol, ys), masked_broadcast_eval(sol, ys)), seed
 
 
-def test_concurrent_evaluations_each_get_the_serial_bits(monkeypatch):
+def test_concurrent_evaluations_each_get_the_serial_bits():
     sols = [random_piecewise(70 + m, m, n_segments=3) for m in (1, 2, 3, 8)]
-    xs = [np.linspace(sol.x0, sol.x_end, 6_000) for sol in sols]
-    monkeypatch.setattr(trial_module, "_CPUS", 1)
+    xs = [np.linspace(sol.x0, sol.x_end, 60_000) for sol in sols]
     serial = [eval_solution(sol, x) for sol, x in zip(sols, xs)]
-    monkeypatch.setattr(trial_module, "_CPUS", 2)
     start = threading.Barrier(len(sols))
     results = [[] for _ in sols]
 
@@ -430,14 +428,11 @@ def test_dense_evaluation_of_hires_stays_within_its_scratch_budget(solved):
     sol = solved("hires", 0)
     xs = np.linspace(sol.x0, sol.x_end, 150_001)
     widest = np.bincount(np.searchsorted(sol.knots[1:], xs, side="left")).max()
-    seg = sol.segments[0]
-    blocks = -(-widest // trial_module._block_len(seg.basis.h, sol.m))
-    workers = min(trial_module._CPUS, blocks)
     block_bytes = 8 * trial_module._BLOCK_VALUES
     budget = (8 * sol.m * len(xs)  # the result
               + 2 * 8 * len(xs)  # the segment index and sort order of every point
               + (sol.m + 2) * 8 * widest  # widest segment: its indices, points and values
-              + (workers + 4) * block_bytes  # a scratch block per share, 4 operands
+              + 2 * block_bytes  # one node's slab and the sum over nodes
               + 2 * 2**20)
     tracemalloc.start()
     try:

@@ -1,6 +1,4 @@
 import math
-import threading
-import time
 
 import numpy as np
 import pytest
@@ -221,7 +219,7 @@ def test_blocked_evaluation_is_bitwise_the_broadcast_formula(m):
 def test_result_does_not_depend_on_block_size(monkeypatch, m, block):
     for h in NODE_COUNTS:
         seg = random_segment(200 + m, h=h, m=m, weight_scale=3.0)
-        monkeypatch.setattr(trial_module, "_BLOCK_VALUES", block * h * m)
+        monkeypatch.setattr(trial_module, "_BLOCK_VALUES", block * (h if m == 1 else m))
         assert trial_module._block_len(h, m) == block
         for count in block_point_counts(block):
             xs = np.linspace(seg.x_start - 0.2, seg.x_stop + 0.2, count)
@@ -236,106 +234,27 @@ def test_residual_of_a_zero_rhs_is_bitwise_the_broadcast_dpsi_dx(m):
         assert np.array_equal(dpsi_dx(seg, xs), broadcast_dx(seg, xs))
 
 
-EVAL_BLOCKS = trial_module._eval_blocks  # the share function before any test patches it
-
-
-def spy_shares(monkeypatch, before=None):
-    """Record, for every share that _combine runs, the blocks it takes.
-
-    Each record holds the share's ``blocks`` (their first points), whether it
-    ran on a ``helper`` thread rather than the one that set up the spy, and
-    whether it is ``done``.  ``before(record)``, when given, runs in the
-    share's thread before it takes a block, and may sleep or raise.
-    """
-    shares = []
-    lock = threading.Lock()
-    caller = threading.get_ident()
-
-    def share(seg, xs, take, size, ops, out):
-        record = {"blocks": [], "helper": threading.get_ident() != caller, "done": False}
-        with lock:
-            shares.append(record)
-
-        def spy_take():
-            lo = take()
-            if lo is not None:
-                record["blocks"].append(lo)
-            return lo
-
-        if before is not None:
-            before(record)
-        EVAL_BLOCKS(seg, xs, spy_take, size, ops, out)
-        record["done"] = True
-
-    monkeypatch.setattr(trial_module, "_eval_blocks", share)
-    return shares
-
-
-@pytest.mark.parametrize("workers", [1, 2, 3, 5])
 @pytest.mark.parametrize("m", [1, 2, 3, 8])
-def test_threaded_evaluation_is_bitwise_the_broadcast_formula(monkeypatch, workers, m):
+def test_unsorted_points_with_repeats_are_bitwise_the_broadcast_formula(monkeypatch, m):
     h, block = 12, 7
     seg = random_segment(400 + m, h=h, m=m, weight_scale=4.0)
-    monkeypatch.setattr(trial_module, "_CPUS", workers)
-    monkeypatch.setattr(trial_module, "_BLOCK_VALUES", block * h * m)
+    monkeypatch.setattr(trial_module, "_BLOCK_VALUES", block * (h if m == 1 else m))
+    assert trial_module._block_len(h, m) == block
     rng = np.random.default_rng(m)
-    for n_blocks in sorted({1, 2, workers, workers + 1}):
+    for n_blocks in (1, 2, 3, 6):
         for count in (n_blocks * block, n_blocks * block - 3):  # the second ends short
-            shares = spy_shares(monkeypatch)
             xs = np.linspace(seg.x_start - 0.2, seg.x_stop + 0.2, count)
-            assert np.array_equal(trial_eval(seg, xs), broadcast_eval(seg, xs)), (n_blocks, count)
-            assert len(shares) == min(workers, n_blocks)
-            assert [s["helper"] for s in shares].count(False) == 1
-            assert sorted(lo for s in shares for lo in s["blocks"]) == list(range(0, count, block))
-            # unsorted, with repeats
-            ys = np.concatenate([xs, xs[: count // 2]])[rng.permutation(count + count // 2)]
+            ys = xs[rng.integers(0, count, count)]  # drawn with replacement
             assert np.array_equal(trial_eval(seg, ys), broadcast_eval(seg, ys)), (n_blocks, count)
 
 
-def test_an_error_in_a_share_reaches_the_caller_after_every_share_ends(monkeypatch):
-    seg = random_segment(500, h=12, m=3)
-    monkeypatch.setattr(trial_module, "_CPUS", 3)
-    monkeypatch.setattr(trial_module, "_BLOCK_VALUES", 7 * 12 * 3)
-    xs = np.linspace(seg.x_start, seg.x_stop, 5 * 7)
-    threads = threading.active_count()
-
-    def fail_in(helper):
-        def before(record):
-            if record["helper"] == helper:
-                raise RuntimeError("a share failed")
-            time.sleep(0.2)  # still running when the failure is raised
-        return before
-
-    for helper in (True, False):
-        shares = spy_shares(monkeypatch, fail_in(helper))
-        with pytest.raises(RuntimeError, match="a share failed"):
-            trial_eval(seg, xs)
-        assert len(shares) == 3
-        assert all(s["done"] for s in shares if s["helper"] != helper)
-        assert threading.active_count() == threads
-
-    shares = spy_shares(monkeypatch, lambda record: time.sleep(0.1 * record["helper"]))
-    assert np.array_equal(trial_eval(seg, xs), broadcast_eval(seg, xs))
-    assert [s["done"] for s in shares] == [True, True, True]
-    assert threading.active_count() == threads
-
-
-def test_helper_shares_keep_the_callers_floating_point_error_state(monkeypatch):
-    seg = random_segment(600, h=12, m=2, x_start=0.0, width=1.0)
-    monkeypatch.setattr(trial_module, "_BLOCK_VALUES", 7 * 12 * 2)
-    near = np.linspace(0.0, 1.0, 7)
-    far = np.full(7, 1e3)  # every Gaussian underflows to 0
-    xs = np.concatenate([near, far])
-    monkeypatch.setattr(trial_module, "_CPUS", 1)
-    with np.errstate(under="raise"):
-        trial_eval(seg, near)
-        with pytest.raises(FloatingPointError):
-            trial_eval(seg, far)
-    # the caller's share waits, so the helper takes both blocks
-    shares = spy_shares(monkeypatch, lambda record: time.sleep(0.2 * (not record["helper"])))
-    monkeypatch.setattr(trial_module, "_CPUS", 2)
-    with np.errstate(under="raise"):
-        with pytest.raises(FloatingPointError):
-            trial_eval(seg, xs)
-    assert [(s["helper"], s["blocks"]) for s in shares if s["blocks"]] == [(True, [0, 7])]
-    assert np.array_equal(trial_eval(seg, xs), broadcast_eval(seg, xs))
+@pytest.mark.parametrize("m", [2, 3, 8])
+def test_node_groups_are_bitwise_the_broadcast_formula(monkeypatch, m):
+    # 24 points per block, and a call on k <= 24 points puts 24 // k of the
+    # 12 nodes in one slab: all of them, groups with a short last one, or one
+    h = 12
+    seg = random_segment(500 + m, h=h, m=m, weight_scale=4.0)
+    monkeypatch.setattr(trial_module, "_BLOCK_VALUES", 24 * m)
+    for count in range(1, 30):
+        xs = np.linspace(seg.x_start - 0.2, seg.x_stop + 0.2, count)
+        assert np.array_equal(trial_eval(seg, xs), broadcast_eval(seg, xs)), count
