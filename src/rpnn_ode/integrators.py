@@ -38,15 +38,12 @@ output through :func:`dense_eval`: dp45 trajectories additionally carry the
 pair's quartic continuous extension, while implicit trajectories interpolate
 with cubic Hermite on their (smaller) steps.  Like the MATLAB suite's dense
 output, which works one step's interpolant at a time, :func:`dense_eval`
-works through the points in blocks sized like the rpnn evaluator's
-(``trial._BLOCK_VALUES`` values per block), so its scratch stays in cache
-rather than growing with the grid.  The interpolation formulas are
-elementwise IEEE +, -, *, / on each point, with no reduction across points,
-so the blocked values are bit for bit those of one whole-array pass.
+works through the points in cache-sized blocks, bit for bit one pass.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -213,10 +210,17 @@ def _initial_step(problem: OdeProblem, f0: np.ndarray, ctrl: StepControl, order:
     return min(100.0 * h0, h1, span)
 
 
-def _check_underflow(h: float, x: float, span: float) -> None:
+def _check_underflow(h: float, x: float, span: float, last_error: float | None, states,
+                     tried: np.ndarray) -> None:
+    """Raise StepUnderflowError if h is below the floor at x, naming the scaled error of
+    the last attempt and the largest component of its state ``tried`` or of ``states``."""
     if h < 16.0 * _EPS * max(abs(x), span * 1e-3):
+        seen = np.array([*states, tried])
+        i, j = np.unravel_index(np.abs(seen).argmax(), seen.shape)
         raise StepUnderflowError(
-            f"step size underflow at x={x!r} (h={h!r})", abscissa=x, last_error=None
+            f"step size underflow at x={x!r} (h={h!r}); last scaled error {last_error}, "
+            f"largest state component y{j + 1} = {seen[i, j]:.3g}",
+            abscissa=x, last_error=last_error,
         )
 
 
@@ -243,10 +247,12 @@ def _integrate(problem: OdeProblem, ctrl: StepControl, order: int, attempt) -> T
     inv_order = 1.0 / order
     xs, ys, fs, blocks = [x], [y.copy()], [f.copy()], []
     n_steps = n_rejected = 0
+    last_error, tried = None, y
     while x < problem.x_end:
         if n_steps + n_rejected >= _MAX_STEPS:
-            raise StepUnderflowError(f"step budget {_MAX_STEPS} exhausted at x={x!r}", abscissa=x)
-        _check_underflow(h, x, span)
+            raise StepUnderflowError(f"step budget {_MAX_STEPS} exhausted at x={x!r}",
+                                     abscissa=x, last_error=last_error)
+        _check_underflow(h, x, span, last_error, ys, tried)
         h = min(h, problem.x_end - x)
         last = h >= problem.x_end - x
         step = attempt(x, y, f, h)
@@ -255,6 +261,7 @@ def _integrate(problem: OdeProblem, ctrl: StepControl, order: int, attempt) -> T
             h *= _MIN_FACTOR
             continue
         y_new, err, accept = step
+        last_error, tried = err, y_new
         if err > 1.0:
             n_rejected += 1
             h *= min(1.0, _grow_factor(err, inv_order))
@@ -273,6 +280,10 @@ def _integrate(problem: OdeProblem, ctrl: StepControl, order: int, attempt) -> T
                       extension=np.array(blocks) if blocks else None)
 
 
+# The step attempts multiply their few-element operands with ndarray.dot: the
+# same BLAS call as ``@``, whose gufunc dispatch nearly doubles its cost.
+
+
 def dp45_solve(problem: OdeProblem, ctrl: StepControl) -> Trajectory:
     """Integrate with the explicit Dormand-Prince 5(4) pair."""
     k = np.empty((7, problem.m))
@@ -280,37 +291,39 @@ def dp45_solve(problem: OdeProblem, ctrl: StepControl) -> Trajectory:
     def attempt(x, y, f, h):
         k[0] = f
         for s in range(1, 7):
-            y_stage = y + h * (_DP_A[s - 1] @ k[:s])
+            y_stage = y + h * _DP_A[s - 1].dot(k[:s])
             k[s] = problem.rhs(x + _DP_C[s] * h, y_stage)
             if not np.isfinite(k[s]).all():
                 return None
-        y_new = y + h * (_DP_B @ k)
-        err = _scaled_error(h * (_DP_E @ k), y, y_new, ctrl)
-        if not (np.isfinite(err) and np.isfinite(y_new).all()):
+        y_new = y + h * _DP_B.dot(k)
+        err = _scaled_error(h * _DP_E.dot(k), y, y_new, ctrl)
+        if not (math.isfinite(err) and np.isfinite(y_new).all()):
             return None
         # FSAL: stage 7 is the rhs at the accepted point
-        return y_new, err, lambda x_new: (k[6].copy(), _DP_DENSE.T @ k)
+        return y_new, err, lambda x_new: (k[6].copy(), _DP_DENSE.T.dot(k))
 
     return _integrate(problem, ctrl, 5, attempt)
 
 
 def _sdirk_stage(problem, inv, x_stage, beta, y_guess, h, scale):
-    """Newton-solve one implicit stage through the inverted iteration matrix; returns (Y, ok)."""
+    """Newton-solve one implicit stage through the inverted iteration matrix; returns (Y, ok).
+
+    One finiteness test per iteration, on err, covers f and dy: ``inv.dot(v)``
+    spreads a NaN or inf of v to all of dy (0 * inf is NaN), and the max keeps
+    it.  Such a stage fails, and numpy may warn of overflow or invalid values.
+    """
     y_stage = y_guess
     hg = h * _SD_GAMMA
     prev = np.inf
     for _ in range(_MAX_NEWTON):
         f_stage = np.asarray(problem.rhs(x_stage, y_stage), dtype=float)
-        if not np.isfinite(f_stage).all():
-            return y_stage, False
-        dy = inv @ (beta - (y_stage - hg * f_stage))
-        if not np.isfinite(dy).all():
-            return y_stage, False
+        dy = inv.dot(beta - (y_stage - hg * f_stage))
         y_stage = y_stage + dy
         err = float((np.abs(dy) / scale).max())
         if err <= 1e-2:
             return y_stage, True
-        if err > 2.0 * prev:  # diverging: give up early, the step will shrink
+        # non-finite f or dy makes err non-finite; diverging: give up early
+        if not (math.isfinite(err) and err <= 2.0 * prev):
             return y_stage, False
         prev = err
     return y_stage, False
@@ -319,11 +332,9 @@ def _sdirk_stage(problem, inv, x_stage, beta, y_guess, h, scale):
 def sdirk_solve(problem: OdeProblem, ctrl: StepControl) -> Trajectory:
     """Integrate with the L-stable SDIRK 4(3) method using analytic Jacobians.
 
-    One iteration matrix I - h*gamma*J(x, y) is formed and inverted per step;
-    the inverse serves every stage's Newton iteration, and the embedded error
-    estimate is smoothed through it so it stays bounded on very stiff modes.
-    An explicit inverse, not LU, because numpy exposes no factor/solve pair.
-    A singular iteration matrix rejects the step like a failed stage.
+    The embedded error estimate is smoothed through the per-step inverse of
+    I - h*gamma*J(x, y), so it stays bounded on very stiff modes.  A singular
+    iteration matrix rejects the step like a failed stage.
     """
     eye = np.eye(problem.m)
     k = np.empty((5, problem.m))
@@ -339,14 +350,14 @@ def sdirk_solve(problem: OdeProblem, ctrl: StepControl) -> Trajectory:
         scale = ctrl.abs_tol + ctrl.rel_tol * np.abs(y)
         y_stage = y
         for s in range(5):
-            beta = y + h * (_SD_A[s, :s] @ k[:s]) if s else y
+            beta = y + h * _SD_A[s, :s].dot(k[:s]) if s else y
             y_stage, ok = _sdirk_stage(problem, inv, x + _SD_C[s] * h, beta, y_stage, h, scale)
             if not ok:
                 return None
             k[s] = (y_stage - beta) / (h * _SD_GAMMA)
         # stiffly accurate: the last stage is the step value
-        err = _scaled_error(inv @ (h * (_SD_E @ k)), y, y_stage, ctrl)
-        if not (np.isfinite(err) and np.isfinite(y_stage).all()):
+        err = _scaled_error(inv.dot(h * _SD_E.dot(k)), y, y_stage, ctrl)
+        if not (math.isfinite(err) and np.isfinite(y_stage).all()):
             return None
         return y_stage, err, lambda x_new: (
             np.asarray(problem.rhs(x_new, y_stage), dtype=float), None)

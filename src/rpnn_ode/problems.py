@@ -35,9 +35,10 @@ class OdeProblem:
     not depend on the point may return a constant such as ``np.eye(m)``.
     Write components as ``y1, y2 = y.T`` or ``y[..., 0]``: a pointwise-only
     callback that indexes ``y[i]`` picks a point, not a component, of a
-    block, and is not supported.  ``analytic``, when present, maps an array
-    of abscissae to a (len(x), m) array of exact solution values.  Instances
-    are immutable and safe to share between threads.
+    block, and is not supported.  The built-ins take one point as Python
+    floats, for speed; a user callback need not.  ``analytic``, when present,
+    maps an array of abscissae to a (len(x), m) array of exact solution
+    values.  Instances are immutable and safe to share between threads.
     """
 
     name: str
@@ -61,13 +62,18 @@ class OdeProblem:
         object.__setattr__(self, "alpha", alpha)
 
 
-# The built-in problems combine components as np.array([...]).T, which on a
-# single point is a plain (m,) array.  numpy computes ``y ** 2`` with libm
-# ``pow`` on a single point and as ``y * y`` on a block; the two may differ in
-# the last bit, so block and single-point values of van der Pol and ROBER
-# agree to rounding, not bit for bit.  Keep ``y ** 2``: writing ``y * y``
-# would change the single-point values, and with them the last bits of every
-# sdirk and dp45 trajectory.
+def _components(y):
+    """The components of y: Python floats at one point (m,), rows of y.T for a block (k, m).
+
+    The built-in problems compute a single point on Python floats, whose + - *
+    are numpy scalars' IEEE double operations at a fraction of the call cost.
+    ``y ** 2`` is libm ``pow`` on a Python float, as on a numpy scalar, but
+    numpy computes it as ``y * y`` on a block; the two may differ in the last
+    bit, so block and single-point values of van der Pol and ROBER agree to
+    rounding only.  Keep ``y ** 2``: ``y * y`` would change the single-point
+    values, and with them the last bits of every sdirk and dp45 trajectory.
+    """
+    return y.tolist() if y.ndim == 1 else y.T
 
 
 def _jacobian_block(template: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -82,7 +88,7 @@ def _prothero_robinson(lam: float) -> OdeProblem:
         raise ValueError(f"lambda must be finite and negative, got {lam}")
 
     def rhs(x, y):
-        (y1,) = y.T
+        (y1,) = _components(y)
         return np.array([lam * (y1 - np.sin(x)) + np.cos(x)]).T
 
     def jac(x, y):
@@ -110,11 +116,11 @@ def _van_der_pol(mu: float) -> OdeProblem:
     template = np.array([[0.0, 1.0], [0.0, 0.0]])
 
     def rhs(x, y):
-        y1, y2 = y.T
+        y1, y2 = _components(y)
         return np.array([y2, mu * (1.0 - y1 ** 2) * y2 - y1]).T
 
     def jac(x, y):
-        y1, y2 = y.T
+        y1, y2 = _components(y)
         J = _jacobian_block(template, y)
         J[..., 1, 0] = -2.0 * mu * y1 * y2 - 1.0
         J[..., 1, 1] = mu * (1.0 - y1 ** 2)
@@ -140,14 +146,14 @@ def _rober() -> OdeProblem:
     template = np.array([[-k1, 0.0, 0.0], [k1, 0.0, 0.0], [0.0, 0.0, 0.0]])
 
     def rhs(x, y):
-        y1, y2, y3 = y.T
+        y1, y2, y3 = _components(y)
         r1 = k1 * y1
         r2 = k2 * y2 * y3
         r3 = k3 * y2 ** 2
         return np.array([-r1 + r2, r1 - r2 - r3, r3]).T
 
     def jac(x, y):
-        _, y2, y3 = y.T
+        _, y2, y3 = _components(y)
         J = _jacobian_block(template, y)
         J[..., 0, 1], J[..., 0, 2] = k2 * y3, k2 * y2
         J[..., 1, 1], J[..., 1, 2] = -k2 * y3 - 2.0 * k3 * y2, -k2 * y2
@@ -177,7 +183,7 @@ def _hires() -> OdeProblem:
     template[6, 6], template[7, 6] = -1.81, 1.81
 
     def rhs(x, y):
-        y1, y2, y3, y4, y5, y6, y7, y8 = y.T
+        y1, y2, y3, y4, y5, y6, y7, y8 = _components(y)
         return np.array(
             [
                 -1.71 * y1 + 0.43 * y2 + 8.32 * y3 + 0.0007,
@@ -192,7 +198,7 @@ def _hires() -> OdeProblem:
         ).T
 
     def jac(x, y):
-        y6, y8 = y.T[5], y.T[7]
+        *_, y6, _, y8 = _components(y)
         J = _jacobian_block(template, y)
         J[..., 5, 5], J[..., 5, 7] = -280.0 * y8 - 0.43, -280.0 * y6
         J[..., 6, 5], J[..., 6, 7] = 280.0 * y8, 280.0 * y6

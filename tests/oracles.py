@@ -6,8 +6,10 @@ plain broadcast forms of a basis's Gaussians and of psi and dpsi/dx, the
 per-weight trial-function derivatives, the flat index bijections of the
 collocation system, checked rhs/Jacobian evaluation at one point, the
 pointwise definitions of the four benchmark problems, residual/Jacobian
-assembly with one rhs/Jacobian call per collocation point, and dense output
-of a classical trajectory in one pass over the whole array of points.
+assembly with one rhs/Jacobian call per collocation point, dense output
+of a classical trajectory in one pass over the whole array of points, and
+the sdirk stage solve that tests the finiteness of f and of the Newton
+correction on every iteration.
 """
 
 import dataclasses
@@ -16,6 +18,7 @@ import math
 import numpy as np
 
 from rpnn_ode import NumericError, OdeProblem, make_benchmark
+from rpnn_ode.integrators import _MAX_NEWTON, _SD_GAMMA
 
 
 def rbf_value(c: float, b: float, inv_sq_width: float, x: float):
@@ -280,3 +283,25 @@ def whole_array_dense_eval(traj, x) -> np.ndarray:
             + (t3 - t2) * dt * traj.derivatives[idx + 1]
         )
     return out[0] if xs.ndim == 0 else out
+
+
+def sdirk_stage_checking_every_pass(problem, inv, x_stage, beta, y_guess, h, scale):
+    """``integrators._sdirk_stage`` with np.isfinite passes on f and dy each iteration."""
+    y_stage = y_guess
+    hg = h * _SD_GAMMA
+    prev = np.inf
+    for _ in range(_MAX_NEWTON):
+        f_stage = np.asarray(problem.rhs(x_stage, y_stage), dtype=float)
+        if not np.isfinite(f_stage).all():
+            return y_stage, False
+        dy = inv @ (beta - (y_stage - hg * f_stage))
+        if not np.isfinite(dy).all():
+            return y_stage, False
+        y_stage = y_stage + dy
+        err = float((np.abs(dy) / scale).max())
+        if err <= 1e-2:
+            return y_stage, True
+        if err > 2.0 * prev:  # diverging: give up early, the step will shrink
+            return y_stage, False
+        prev = err
+    return y_stage, False

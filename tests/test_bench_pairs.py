@@ -67,3 +67,29 @@ def test_identical_counts_are_flat(bench_pairs):
     counts = [340] * 10
     entry = bench_pairs.summarize(pairs(counts, counts, "time"), SPEC[1:])["time"]
     assert (entry["ties"], entry["head_wins"], entry["verdict"]) == (10, 0, "flat")
+
+
+def test_each_run_of_a_pair_carries_the_speed_ups_around_it(bench_pairs, monkeypatch, capsys):
+    readings = iter([1.9, 1.8, 1.1, 1.0])
+    monkeypatch.setattr(bench_pairs, "two_thread_speedup", lambda: next(readings))
+    runs = []
+
+    def run_once(tree, workload, seed, seconds):
+        runs.append(tree)
+        return {"correct": True, "attempted": 1, "failed": 0, "metrics": {"solve_s": 1.0},
+                "fingerprints": ["f"], "machine": {}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    pair = bench_pairs.run_pair(Path("base-tree"), "w", 7, "head", 45)
+    assert runs == [bench_pairs.ROOT, Path("base-tree")]
+    assert pair["head"]["cpu_speedup"] == [1.9, 1.8]
+    assert pair["base"]["cpu_speedup"] == [1.1, 1.0]
+    assert (pair["seed"], pair["first"], pair["fingerprints_agree"]) == (7, "head", True)
+    out = capsys.readouterr().out
+    assert "w seed 7 head (two-thread speed-up 1.90 / 1.80)" in out
+    assert "w seed 7 base (two-thread speed-up 1.10 / 1.00)" in out
+
+
+def test_two_thread_speedup_is_a_positive_ratio(bench_pairs):
+    ratio = bench_pairs.two_thread_speedup(reps=5, size=1024)
+    assert 0.0 < ratio < 10.0

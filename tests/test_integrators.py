@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import whole_array_dense_eval
+from oracles import sdirk_stage_checking_every_pass, whole_array_dense_eval
 from rpnn_ode import (
     OdeProblem,
     StepControl,
@@ -176,7 +176,7 @@ def sdirk_solve_every_iteration(problem, ctrl):
     n_steps = n_rejected = 0
     k = np.empty((5, problem.m))
     while x < problem.x_end:
-        _check_underflow(h, x, span)
+        _check_underflow(h, x, span, None, ys, y)
         h = min(h, problem.x_end - x)
         last = h >= problem.x_end - x
         matrix = np.eye(problem.m) - h * _SD_GAMMA * problem.ode_jacobian(x, y)
@@ -403,6 +403,65 @@ def test_dp45_rejects_a_non_finite_stage_with_min_factor(monkeypatch):
     assert traj.n_rejected >= 1
     assert traj.abscissae[-1] == 10.0
     assert abs(traj.states[-1, 0] - math.exp(-10.0)) <= 1e-7
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, np.finfo(float).max])
+def test_sdirk_rejects_a_non_finite_newton_iteration_with_min_factor(monkeypatch, bad):
+    # the rhs is bad on its first call in the first attempt and at negative
+    # states; bad is NaN, +inf, or finite but large enough that h*gamma*f
+    # overflows.  A first step of 10 fails on stage 1's first Newton
+    # iteration; the next, of 5, moves stage 2's iterate below zero and fails
+    # on its second iteration
+    stage_abscissae = []
+
+    def rhs(x, y):
+        stage_abscissae.append(x)
+        return np.where((y < 0.0) | (len(stage_abscissae) == 2), bad, -y)
+
+    decay = OdeProblem(name="decay", m=1, x0=0.0, x_end=10.0, alpha=np.array([1.0]),
+                       rhs=rhs, ode_jacobian=lambda x, y: -np.eye(1))
+    monkeypatch.setattr(integrators, "_initial_step", lambda *args: 10.0)
+    monkeypatch.setattr(integrators, "_MIN_FACTOR", 0.5)
+    with np.errstate(over="ignore", invalid="ignore"):
+        traj = sdirk_solve(decay, StepControl(1e-8, 1e-8))
+    # stages 1 and 2 sit at h/4 and 3h/4; each failed attempt halves h
+    assert stage_abscissae[:7] == [0.0, 2.5, 1.25, 1.25, 3.75, 3.75, 0.625]
+    assert traj.n_rejected >= 2
+    assert traj.abscissae[-1] == 10.0
+    assert abs(traj.states[-1, 0] - math.exp(-10.0)) <= 1e-7
+
+
+@pytest.mark.parametrize("name,params", [("hires", {}), ("rober", {}), ("van_der_pol", {"mu": 1.0}),
+                                         ("prothero_robinson", {})])
+def test_sdirk_is_bitwise_the_stage_solve_checking_every_pass(monkeypatch, name, params):
+    problem = make_benchmark(name, **params)
+    ctrl = StepControl(1e-8, 1e-8)
+    traj = sdirk_solve(problem, ctrl)
+    monkeypatch.setattr(integrators, "_sdirk_stage", sdirk_stage_checking_every_pass)
+    oracle = sdirk_solve(problem, ctrl)
+    assert (traj.n_steps, traj.n_rejected) == (oracle.n_steps, oracle.n_rejected)
+    for a, b in ((traj.abscissae, oracle.abscissae), (traj.states, oracle.states),
+                 (traj.derivatives, oracle.derivatives)):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("solve", [dp45_solve, sdirk_solve])
+def test_a_user_rhs_returning_a_list_integrates(solve):
+    listed = dataclasses.replace(OSCILLATOR, rhs=lambda x, y: [y[1], -y[0]])
+    traj = solve(listed, StepControl(1e-8, 1e-8))
+    assert traj.abscissae[-1] == OSCILLATOR.x_end
+    assert np.abs(traj.states[-1] - OSCILLATOR.alpha).max() <= 1e-6
+
+
+def test_dp45_step_underflow_on_rober_names_the_diverged_state():
+    # abs_tol = rel_tol = 1e-3 lets accepted steps carry y2 far below zero;
+    # the state of ROBER stays in [0, 1]
+    with pytest.raises(StepUnderflowError, match="largest state component") as info:
+        dp45_solve(make_benchmark("rober"), StepControl(1e-3, 1e-3))
+    assert abs(float(str(info.value).rsplit(" = ", 1)[1])) > 1e6
+    assert 0.006 < info.value.abscissa < 0.0065
+    assert info.value.last_error > 1.0
+    assert f"last scaled error {info.value.last_error}" in str(info.value)
 
 
 def test_step_budget_exhaustion_raises(monkeypatch):

@@ -6,6 +6,7 @@ import pytest
 from conftest import fd_jacobian
 from oracles import jacobian_eval, rhs_eval
 from rpnn_ode import BENCHMARK_NAMES, NumericError, canonical_name, make_benchmark
+from rpnn_ode.problems import _components
 
 
 def test_van_der_pol_rhs_example():
@@ -187,3 +188,15 @@ def test_canonical_name_resolves_aliases_and_case():
     for bad in ("lorenz", "", "all"):
         with pytest.raises(ValueError):
             canonical_name(bad)
+
+
+@pytest.mark.parametrize("m", [1, 2, 8])
+def test_components_are_floats_at_one_point_and_rows_of_a_block(m):
+    y = np.linspace(-1.0, 1.0, m)
+    point = _components(y)
+    assert len(point) == m and all(type(c) is float for c in point)
+    assert point == [float(c) for c in y]
+    block = np.arange(3.0 * m).reshape(3, m)
+    rows = _components(block)
+    assert isinstance(rows, np.ndarray) and rows.shape == (m, 3)
+    assert np.shares_memory(rows, block) and np.array_equal(rows, block.T)

@@ -3,9 +3,10 @@
 A block evaluation of rhs/ode_jacobian must equal one call per point, and the
 single-point path must equal the pointwise definitions it replaced, bit for
 bit, so that the classical integrators are unchanged.  Van der Pol and ROBER
-square a state component: on a single point numpy takes ``y ** 2`` through
-libm ``pow``, on a block as ``y * y``, and the two may differ in the last bit,
-so their block values are compared with a relative bound instead.
+square a state component: on a single point ``y ** 2`` is libm ``pow``, on a
+Python float as on a numpy scalar, while numpy computes it on a block as
+``y * y``; the two may differ in the last bit, so their block values are
+compared with a relative bound instead.
 """
 
 import numpy as np

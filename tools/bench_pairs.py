@@ -9,14 +9,17 @@ each side runs on its own ``src/``.
 Pair i of a workload runs both sides with ``--seed (seed + i)``, alternating
 which side goes first, so that a drift of the machine's speed during the
 session falls on both sides alike.  Workloads run one after another, the
-pairs of one workload back to back.
+pairs of one workload back to back.  Before and after each run, a fixed numpy
+loop is timed on two threads against one (``two_thread_speedup``): about 2
+when a second CPU was free for the run, about 1 when something else held it.
 
 The other side, "head", is the working tree as it is, committed or not.  The
 output file holds, per workload and end-to-end metric of ``BENCHMARK.json``,
 each side's median and quartiles over the runs, how many pairs the working
 tree won, the relative change of the medians and a verdict (gain, worse,
-unresolved or flat; see ``verdict``); per pair, both results,
-the per-round fingerprints of both run records and whether they agree on the
+unresolved or flat; see ``verdict``); per pair, both results with the
+two-thread speed-ups before and after each run (``cpu_speedup``), the
+per-round fingerprints of both run records and whether they agree on the
 rounds both sides ran; and the machine block of the run records.
 """
 
@@ -30,7 +33,11 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import threading
+import time
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -79,6 +86,50 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         "fingerprints": [r.get("fingerprint") for r in record["rounds"]],
         "machine": record["machine"],
     }
+
+
+def two_thread_speedup(reps: int = 200, size: int = 1 << 15) -> float:
+    """Work rate of two threads running a fixed numpy loop, over that of one.
+
+    Each thread takes np.sin of an L2-sized array reps times.  The ufunc
+    releases the GIL and uses no BLAS, so two threads run in parallel exactly
+    when two CPUs are free.
+    """
+    values = np.linspace(0.0, 1.0, size)
+
+    def loop():
+        out = np.empty_like(values)
+        for _ in range(reps):
+            np.sin(values, out=out)
+
+    loop()  # warm-up
+    start = time.perf_counter()
+    loop()
+    one = time.perf_counter() - start
+    threads = [threading.Thread(target=loop) for _ in range(2)]
+    start = time.perf_counter()
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    return 2.0 * one / (time.perf_counter() - start)
+
+
+def run_pair(base_tree: Path, workload: str, seed: int, first: str, seconds: float) -> dict:
+    """Both sides' runs of one pair, ``first`` first, each between two speed-up readings."""
+    pair = {"seed": seed, "first": first}
+    for side in (first, "head" if first == "base" else "base"):
+        before = two_thread_speedup()
+        run = run_once(base_tree if side == "base" else ROOT, workload, seed, seconds)
+        run["cpu_speedup"] = [before, two_thread_speedup()]
+        pair[side] = run
+        print(f"{workload} seed {seed} {side} (two-thread speed-up "
+              f"{run['cpu_speedup'][0]:.2f} / {run['cpu_speedup'][1]:.2f}): "
+              + json.dumps(run["metrics"]), flush=True)
+    common = min(len(pair["base"]["fingerprints"]), len(pair["head"]["fingerprints"]))
+    pair["fingerprints_agree"] = (pair["base"]["fingerprints"][:common]
+                                  == pair["head"]["fingerprints"][:common])
+    return pair
 
 
 def quartiles(values: list[float]) -> dict:
@@ -169,18 +220,9 @@ def main(argv=None) -> int:
         for workload, count in plan:
             pairs = []
             for i in range(count):
-                seed = args.seed + i
-                order = ("base", "head") if i % 2 == 0 else ("head", "base")
-                pair = {"seed": seed, "first": order[0]}
-                for side in order:
-                    pair[side] = run_once(base_tree if side == "base" else ROOT, workload,
-                                          seed, seconds)
-                    machines.append(pair[side].pop("machine"))
-                    print(f"{workload} seed {seed} {side}: "
-                          + json.dumps(pair[side]["metrics"]), flush=True)
-                common = min(len(pair["base"]["fingerprints"]), len(pair["head"]["fingerprints"]))
-                pair["fingerprints_agree"] = (pair["base"]["fingerprints"][:common]
-                                              == pair["head"]["fingerprints"][:common])
+                pair = run_pair(base_tree, workload, args.seed + i,
+                                "base" if i % 2 == 0 else "head", seconds)
+                machines.extend(pair[side].pop("machine") for side in ("base", "head"))
                 pairs.append(pair)
             report["workloads"][workload] = {
                 "seeds": [p["seed"] for p in pairs],
@@ -194,6 +236,9 @@ def main(argv=None) -> int:
     report["machine_same_for_all_runs"] = all(m == machines[0] for m in machines)
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
     for workload, entry in report["workloads"].items():
+        speedups = [x for p in entry["pairs"] for s in ("base", "head") for x in p[s]["cpu_speedup"]]
+        print(f"{workload} two-thread speed-up: min {min(speedups):.2f}, "
+              f"median {statistics.median(speedups):.2f}")
         for name, m in entry["metrics"].items():
             print(f"{workload} {name}: base {m['base']['median']:.4g} "
                   f"[{m['base']['q1']:.4g}, {m['base']['q3']:.4g}]  head {m['head']['median']:.4g} "
