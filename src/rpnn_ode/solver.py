@@ -24,7 +24,7 @@ from .collocation import CollocationGrid, assemble_jacobian, assemble_residual, 
 from .errors import NumericError, StepUnderflowError
 from .leastnorm import truncated_pinv_solve
 from .problems import OdeProblem
-from .trial import SegmentSolution, trial_eval
+from .trial import SegmentSolution, _evaluation_points, trial_eval
 
 _MIN_WIDTH_FACTOR = 2.0**-30  # width floor, relative to the whole domain
 
@@ -247,16 +247,7 @@ def eval_solution(sol: PiecewiseSolution, x) -> np.ndarray:
     more than one dimension, or when a point lies outside [x0, x_end] or is
     NaN.
     """
-    xs = np.asarray(x, dtype=float)
-    if xs.ndim > 1:
-        raise ValueError(f"evaluation points must be a scalar or 1-d, got shape {xs.shape}")
-    scalar = xs.ndim == 0
-    pts = np.atleast_1d(xs)
-    if pts.size and not (pts.min() >= sol.x0 and pts.max() <= sol.x_end):
-        raise ValueError(
-            f"evaluation points must lie in [{sol.x0}, {sol.x_end}], "
-            f"got range [{pts.min()}, {pts.max()}]"
-        )
+    pts, scalar = _evaluation_points(x, sol.x0, sol.x_end)
     idx = np.searchsorted(sol.knots[1:], pts, side="left")
     order = np.argsort(idx, kind="stable")
     bounds = np.searchsorted(idx[order], np.arange(sol.n_segments + 1), side="left")

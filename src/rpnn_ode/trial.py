@@ -94,6 +94,23 @@ class SegmentSolution:
         return self.basis.x_start
 
 
+def _evaluation_points(x, lo: float, hi: float) -> tuple[np.ndarray, bool]:
+    """Check evaluation points x against [lo, hi]; returns (1-d points, x is a scalar).
+
+    Raises ValueError when x has more than one dimension, or when a point lies
+    outside [lo, hi] or is NaN.
+    """
+    xs = np.asarray(x, dtype=float)
+    if xs.ndim > 1:
+        raise ValueError(f"evaluation points must be a scalar or 1-d, got shape {xs.shape}")
+    pts = np.atleast_1d(xs)
+    if pts.size and not (pts.min() >= lo and pts.max() <= hi):
+        raise ValueError(
+            f"evaluation points must lie in [{lo}, {hi}], got range [{pts.min()}, {pts.max()}]"
+        )
+    return pts, xs.ndim == 0
+
+
 def _block_len(h: int, m: int) -> int:
     """Points per evaluation block for h nodes and m components.
 

@@ -7,9 +7,10 @@ per-weight trial-function derivatives, the flat index bijections of the
 collocation system, checked rhs/Jacobian evaluation at one point, the
 pointwise definitions of the four benchmark problems, residual/Jacobian
 assembly with one rhs/Jacobian call per collocation point, dense output
-of a classical trajectory in one pass over the whole array of points, and
-the sdirk stage solve that tests the finiteness of f and of the Newton
-correction on every iteration.
+of a classical trajectory in one pass over the whole array of points, the
+cubic Hermite interpolant in its basis-function form, and the sdirk stage
+solve that tests the finiteness of f and of the Newton correction on every
+iteration.
 """
 
 import dataclasses
@@ -255,33 +256,43 @@ def assemble_jacobian_loop(problem, seg, grid) -> np.ndarray:
 def whole_array_dense_eval(traj, x) -> np.ndarray:
     """Dense output of a classical trajectory in one pass over all points.
 
-    The quartic continuous extension when the trajectory carries one, cubic
-    Hermite otherwise; (m,) for scalar x, else (k, m).
+    The one formula of ``integrators``, with the step terms formed from the
+    trajectory's states, derivatives and quartic term (zero when absent);
+    (m,) for scalar x, else (k, m).
     """
+    xs = np.asarray(x, dtype=float)
+    pts = np.atleast_1d(xs)
+    t, y, f = traj.abscissae, traj.states, traj.derivatives
+    idx = np.clip(np.searchsorted(t, pts, side="right") - 1, 0, len(t) - 2)
+    h = (t[idx + 1] - t[idx])[:, None]
+    theta = ((pts - t[idx]) / (t[idx + 1] - t[idx]))[:, None]
+    r2 = y[idx + 1] - y[idx]
+    r3 = h * f[idx] - r2
+    r4 = r2 - h * f[idx + 1] - r3
+    r5 = 0.0 if traj.extension is None else traj.extension[idx]
+    out = y[idx] + theta * (r2 + (1.0 - theta) * (r3 + theta * (r4 + (1.0 - theta) * r5)))
+    # exact right-trajectory endpoint (theta == 1 only occurs there)
+    at_end = theta[:, 0] == 1.0
+    out[at_end] = y[idx[at_end] + 1]
+    return out[0] if xs.ndim == 0 else out
+
+
+def hermite_dense_eval(traj, x) -> np.ndarray:
+    """Cubic Hermite interpolation of a trajectory's states and derivatives, in
+    the basis-function form; (m,) for scalar x, else (k, m)."""
     xs = np.asarray(x, dtype=float)
     pts = np.atleast_1d(xs)
     t = traj.abscissae
     idx = np.clip(np.searchsorted(t, pts, side="right") - 1, 0, len(t) - 2)
     dt = (t[idx + 1] - t[idx])[:, None]
     theta = ((pts - t[idx]) / (t[idx + 1] - t[idx]))[:, None]
-    if traj.extension is not None:
-        coeff = traj.extension[idx]  # (k, 4, m)
-        poly = coeff[:, 3]
-        for d in (2, 1, 0):
-            poly = poly * theta + coeff[:, d]
-        out = traj.states[idx] + dt * theta * poly
-        # exact right-trajectory endpoint (theta == 1 only occurs there)
-        at_end = theta[:, 0] == 1.0
-        if np.any(at_end):
-            out[at_end] = traj.states[idx[at_end] + 1]
-    else:
-        t2, t3 = theta * theta, theta * theta * theta
-        out = (
-            (2 * t3 - 3 * t2 + 1) * traj.states[idx]
-            + (t3 - 2 * t2 + theta) * dt * traj.derivatives[idx]
-            + (-2 * t3 + 3 * t2) * traj.states[idx + 1]
-            + (t3 - t2) * dt * traj.derivatives[idx + 1]
-        )
+    t2, t3 = theta * theta, theta * theta * theta
+    out = (
+        (2 * t3 - 3 * t2 + 1) * traj.states[idx]
+        + (t3 - 2 * t2 + theta) * dt * traj.derivatives[idx]
+        + (-2 * t3 + 3 * t2) * traj.states[idx + 1]
+        + (t3 - t2) * dt * traj.derivatives[idx + 1]
+    )
     return out[0] if xs.ndim == 0 else out
 
 

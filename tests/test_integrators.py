@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import sdirk_stage_checking_every_pass, whole_array_dense_eval
+from oracles import hermite_dense_eval, sdirk_stage_checking_every_pass, whole_array_dense_eval
 from rpnn_ode import (
     OdeProblem,
     StepControl,
@@ -18,7 +18,10 @@ from rpnn_ode import (
 from rpnn_ode import integrators
 from rpnn_ode.integrators import (
     _BLOCK_VALUES,
+    _DP_A,
     _DP_B,
+    _DP_C,
+    _DP_D,
     _DP_E,
     _MAX_NEWTON,
     _MIN_FACTOR,
@@ -234,9 +237,51 @@ def test_sdirk_recovers_from_a_singular_iteration_matrix(monkeypatch):
 
 
 def test_dense_eval_exact_at_accepted_points():
-    traj = dp45_solve(OSCILLATOR, StepControl(1e-8, 1e-8))
-    for k in (0, 1, len(traj.abscissae) // 2, len(traj.abscissae) - 1):
-        assert np.all(dense_eval(traj, traj.abscissae[k]) == traj.states[k])
+    for solve in (dp45_solve, sdirk_solve):
+        traj = solve(OSCILLATOR, StepControl(1e-8, 1e-8))
+        for k in (0, 1, len(traj.abscissae) // 2, len(traj.abscissae) - 1):
+            assert np.all(dense_eval(traj, traj.abscissae[k]) == traj.states[k])
+
+
+def dp45_dense_weights() -> np.ndarray:
+    """(7, 4) coefficients of theta^1..theta^4 in b_i(theta), expanded from the
+    dense-output form: y(x0 + theta*h) = y0 + h * sum_i b_i(theta) k_i."""
+    e1, e7 = np.eye(7)[0], np.eye(7)[6]
+    r2, r3, r5 = _DP_B, e1 - _DP_B, _DP_D  # per unit h*k_i
+    r4 = r2 - e7 - r3
+    # theta*r2 + theta(1-theta)*r3 + theta^2(1-theta)*r4 + theta^2(1-theta)^2*r5
+    return np.stack([r2 + r3, -r3 + r4 + r5, -r4 - 2 * r5, r5], axis=1)
+
+
+def test_dp45_dense_output_meets_the_continuous_order_conditions():
+    coef = dp45_dense_weights()
+    a = np.zeros((7, 7))
+    for s, row in enumerate(_DP_A):
+        a[s + 1, : s + 1] = row
+    c = _DP_C
+    # sum_i b_i(theta) w_i = value * theta^power for each tree through order 4
+    conditions = [(np.ones(7), 1, 1.0), (c, 2, 1 / 2), (c**2, 3, 1 / 3), (a @ c, 3, 1 / 6),
+                  (c**3, 4, 1 / 4), (c * (a @ c), 4, 1 / 8), (a @ c**2, 4, 1 / 12),
+                  (a @ (a @ c), 4, 1 / 24)]
+    for w, power, value in conditions:
+        want = np.zeros(4)
+        want[power - 1] = value
+        assert np.abs(w @ coef - want).max() <= 1e-14
+    powers = np.arange(1.0, 5.0)
+    assert np.abs(coef.sum(axis=1) - _DP_B).max() <= 1e-14  # b_i(1) = b_i
+    assert np.abs(coef[:, 0] - np.eye(7)[0]).max() <= 1e-14  # b_i'(0) = delta_i1
+    assert np.abs(coef @ powers - np.eye(7)[6]).max() <= 1e-14  # b_i'(1) = delta_i7
+    assert _DP_D[1] == 0.0
+
+
+def test_dp45_dense_output_is_within_half_the_tolerance_on_average():
+    tol = 1e-6
+    problem = make_benchmark("prothero_robinson", lam=-10.0)
+    traj = dp45_solve(problem, StepControl(tol, tol))
+    grid = np.linspace(problem.x0, problem.x_end, 20001)
+    want = problem.analytic(grid)
+    mixed = np.abs(dense_eval(traj, grid) - want) / (1.0 + np.abs(want))
+    assert mixed.mean() <= 0.5 * tol
 
 
 def test_dense_eval_accuracy_between_points():
@@ -248,8 +293,8 @@ def test_dense_eval_accuracy_between_points():
 
 
 def test_hermite_fallback_accuracy_between_points():
-    # implicit trajectories carry no extension; their smaller steps keep the
-    # cubic Hermite error within the same 10x band
+    # implicit trajectories carry no quartic term, so their dense output is
+    # cubic Hermite; their smaller steps keep its error within the same 10x band
     tol = 1e-8
     traj = sdirk_solve(DECAY, StepControl(tol, tol))
     assert traj.extension is None
@@ -296,11 +341,22 @@ def test_dense_eval_rejects_multidimensional_points(shape):
 
 def test_trajectory_rejects_too_few_or_non_finite_points():
     traj = dp45_solve(OSCILLATOR, StepControl(1e-6, 1e-6))
-    fields = dataclasses.asdict(traj)
+    fields = {f.name: getattr(traj, f.name) for f in dataclasses.fields(traj) if f.init}
     assert Trajectory(**fields).n_steps == traj.n_steps
     for n in (0, 1):
         with pytest.raises(ValueError, match="at least 2"):
             Trajectory(traj.abscissae[:n], traj.states[:n], traj.derivatives[:n], 0, 0)
+    n, m = traj.states.shape
+    inconsistent = [("states", traj.states[:, :1]), ("states", traj.states[:-1]),
+                    ("states", traj.states.ravel()), ("derivatives", traj.derivatives[:, :1]),
+                    ("derivatives", traj.derivatives[1:]), ("abscissae", traj.abscissae[:, None]),
+                    ("extension", traj.extension[:, None, :]), ("extension", traj.extension[1:]),
+                    ("extension", np.zeros((n - 1, 4, m))), ("extension", np.zeros((n - 1, 1))),
+                    ("n_steps", n), ("n_steps", 7), ("n_steps", n - 2)]
+    for name, value in inconsistent:
+        with pytest.raises(ValueError, match="shape|n_steps"):
+            Trajectory(**{**fields, name: value})
+    assert Trajectory(**{**fields, "extension": None}).extension is None
     for name in ("abscissae", "states", "derivatives", "extension"):
         for bad in (math.nan, math.inf, -math.inf):
             values = fields[name].copy()
@@ -341,7 +397,6 @@ def assert_bitwise_the_oracle(traj, x):
 @pytest.mark.parametrize("name", sorted(CLASSICAL))
 def test_blocked_dense_eval_is_bitwise_the_whole_array_oracle(classical_trajectory, name, method):
     traj = classical_trajectory(name, method)
-    assert (traj.extension is not None) == (method == "dp45")
     t = traj.abscissae
     m = traj.states.shape[1]
     block = _BLOCK_VALUES // (4 * m)
@@ -357,6 +412,16 @@ def test_blocked_dense_eval_is_bitwise_the_whole_array_oracle(classical_trajecto
     assert np.array_equal(dense_eval(traj, t), traj.states)
 
 
+@pytest.mark.parametrize("name", sorted(CLASSICAL))
+def test_sdirk_dense_eval_is_the_cubic_hermite_interpolant(classical_trajectory, name):
+    traj = classical_trajectory(name, "sdirk")
+    t = traj.abscissae
+    rng = np.random.default_rng(len(t))
+    pts = np.concatenate([np.linspace(t[0], t[-1], 20001), rng.uniform(t[0], t[-1], 5000), t])
+    got, want = dense_eval(traj, pts), hermite_dense_eval(traj, pts)
+    assert (np.abs(got - want) / (1.0 + np.abs(want))).max() <= 1e-15
+
+
 @pytest.mark.parametrize("method", ["dp45", "sdirk"])
 def test_dense_eval_peak_memory_is_the_output_plus_one_block(classical_trajectory, method):
     traj = classical_trajectory("hires", method)
@@ -367,8 +432,8 @@ def test_dense_eval_peak_memory_is_the_output_plus_one_block(classical_trajector
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the 9.6 MB output plus one 2,048-point block (about 1 MB of scratch); one pass
-    # over the whole grid peaks at 36 MB (Hermite) and 72 MB (quartic)
+    # the 9.6 MB output plus one 2,048-point block (about 1 MB of scratch); the
+    # whole-array oracle peaks at 62 MB (sdirk) and 72 MB (dp45) on this grid
     assert peak < out.nbytes + 2**21
 
 
