@@ -132,19 +132,20 @@ class Trajectory:
     _terms: np.ndarray = field(init=False, repr=False, compare=False)  # (4, n_steps, m)
 
     def __post_init__(self):
+        for name in ("abscissae", "states", "derivatives", "extension"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         t, y, f = self.abscissae, self.states, self.derivatives
+        if not (t.ndim == 1 and y.ndim == 2 and y.shape[0] == len(t) and f.shape == y.shape):
+            raise ValueError(f"abscissae {t.shape}, states {y.shape} and derivatives "
+                             f"{f.shape} must have shapes (n,), (n, m) and (n, m)")
         if len(t) < 2:
             raise ValueError("a trajectory needs at least 2 abscissae")
-        n_steps = len(t) - 1
-        if not (np.ndim(t) == 1 and np.ndim(y) == 2 and np.shape(y)[0] == len(t)
-                and np.shape(f) == np.shape(y)):
-            raise ValueError(f"abscissae {np.shape(t)}, states {np.shape(y)} and derivatives "
-                             f"{np.shape(f)} must have shapes (n,), (n, m) and (n, m)")
-        m = np.shape(y)[1]
+        n_steps, m = y.shape[0] - 1, y.shape[1]
         if self.n_steps != n_steps:
             raise ValueError(f"n_steps {self.n_steps} != abscissae - 1 = {n_steps}")
-        if self.extension is not None and np.shape(self.extension) != (n_steps, m):
-            raise ValueError(f"extension {np.shape(self.extension)} must have shape ({n_steps}, {m})")
+        if self.extension is not None and self.extension.shape != (n_steps, m):
+            raise ValueError(f"extension {self.extension.shape} must have shape ({n_steps}, {m})")
         arrays = (t, y, f, self.extension)
         if not all(a is None or np.isfinite(a).all() for a in arrays):
             raise ValueError("trajectory abscissae, states, derivatives and extension must be finite")
@@ -192,7 +193,7 @@ def _check_underflow(h: float, x: float, span: float, last_error: float | None, 
     """Raise StepUnderflowError if h is below the floor at x, naming the scaled error of
     the last attempt and the largest component of its state ``tried`` or of ``states``."""
     if h < 16.0 * _EPS * max(abs(x), span * 1e-3):
-        seen = np.array([*states, tried])
+        seen = np.vstack([states, tried])
         i, j = np.unravel_index(np.abs(seen).argmax(), seen.shape)
         raise StepUnderflowError(
             f"step size underflow at x={x!r} (h={h!r}); last scaled error {last_error}, "
@@ -222,14 +223,16 @@ def _integrate(problem: OdeProblem, ctrl: StepControl, order: int, attempt) -> T
     span = problem.x_end - problem.x0
     h = _initial_step(problem, f, ctrl, order)
     inv_order = 1.0 / order
-    xs, ys, fs, quartic = [x], [y.copy()], [f.copy()], []
+    # accepted point i in row i of arrays that double when full; step i's r5 in row i of r5s
+    xs, ys, fs, r5s = np.empty(64), np.empty((64, problem.m)), np.empty((64, problem.m)), None
+    xs[0], ys[0], fs[0] = x, y, f
     n_steps = n_rejected = 0
     last_error, tried = None, y
     while x < problem.x_end:
         if n_steps + n_rejected >= _MAX_STEPS:
             raise StepUnderflowError(f"step budget {_MAX_STEPS} exhausted at x={x!r}",
                                      abscissa=x, last_error=last_error)
-        _check_underflow(h, x, span, last_error, ys, tried)
+        _check_underflow(h, x, span, last_error, ys[: n_steps + 1], tried)
         h = min(h, problem.x_end - x)
         last = h >= problem.x_end - x
         step = attempt(x, y, f, h)
@@ -246,15 +249,18 @@ def _integrate(problem: OdeProblem, ctrl: StepControl, order: int, attempt) -> T
         x = problem.x_end if last else x + h
         y = y_new
         f, r5 = accept(x)
-        xs.append(x)
-        ys.append(y.copy())
-        fs.append(f.copy())
-        if r5 is not None:
-            quartic.append(r5)
         n_steps += 1
+        if n_steps == len(xs):
+            xs, ys, fs, r5s = (a if a is None else np.concatenate([a, np.empty_like(a)])
+                               for a in (xs, ys, fs, r5s))
+        xs[n_steps], ys[n_steps], fs[n_steps] = x, y, f
+        if r5 is not None:
+            r5s = np.empty_like(ys) if r5s is None else r5s
+            r5s[n_steps - 1] = r5
         h *= _grow_factor(err, inv_order)
-    return Trajectory(np.array(xs), np.array(ys), np.array(fs), n_steps, n_rejected,
-                      extension=np.array(quartic) if quartic else None)
+    n = n_steps + 1
+    return Trajectory(xs[:n].copy(), ys[:n].copy(), fs[:n].copy(), n_steps, n_rejected,
+                      extension=None if r5s is None else r5s[:n_steps].copy())
 
 
 # The step attempts multiply their few-element operands with ndarray.dot: the

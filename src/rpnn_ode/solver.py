@@ -241,18 +241,25 @@ def solve_adaptive(problem: OdeProblem, config: SolverConfig) -> PiecewiseSoluti
 def eval_solution(sol: PiecewiseSolution, x) -> np.ndarray:
     """Evaluate at x in [x0, x_end]: (m,) for scalar x, (k, m) for k points.
 
-    Points may come in any order, with repeats.  Segments own right-closed
-    intervals, with x0 belonging to the first; at interior knots both
-    neighbours agree exactly by construction.  Raises ValueError when x has
-    more than one dimension, or when a point lies outside [x0, x_end] or is
-    NaN.
+    Segments own right-closed intervals, with x0 belonging to the first; at
+    interior knots both neighbours agree exactly by construction.  Sorted
+    points (every metric grid) are evaluated straight into the output, one
+    slice per segment cut at the knots, with one byte per point of scratch
+    beyond the blocks of ``trial``.  Other points, in any order and with
+    repeats, take one branch: a sorted copy is evaluated and scattered back,
+    at the cost of a second output-sized array and 16 bytes per point.
+    Raises ValueError when x has more than one dimension, or when a point
+    lies outside [x0, x_end] or is NaN.
     """
     pts, scalar = _evaluation_points(x, sol.x0, sol.x_end)
-    idx = np.searchsorted(sol.knots[1:], pts, side="left")
-    order = np.argsort(idx, kind="stable")
-    bounds = np.searchsorted(idx[order], np.arange(sol.n_segments + 1), side="left")
     out = np.empty((len(pts), sol.m))
+    if np.any(pts[1:] < pts[:-1]):
+        order = np.argsort(pts, kind="stable")
+        out[order] = eval_solution(sol, pts[order])
+        return out
+    bounds = np.searchsorted(pts, sol.knots, side="right")
+    bounds[0], bounds[-1] = 0, len(pts)
     for k in np.flatnonzero(np.diff(bounds)):
-        run = order[bounds[k] : bounds[k + 1]]
-        out[run] = trial_eval(sol.segments[k], pts[run])
+        run = slice(bounds[k], bounds[k + 1])
+        trial_eval(sol.segments[k], pts[run], out=out[run])
     return out[0] if scalar else out

@@ -5,13 +5,14 @@ with N_i a linear combination of the segment's Gaussian bumps.  The ramp
 factor makes psi match the segment's initial values at x_start exactly, for
 any weights, so training only has to care about the differential equation.
 
-Dense evaluation works through the points in blocks and runs every step in
-place, in the order of the plain (k, h, m) broadcast formula psi = alpha +
-ramp*(g*weights).sum(axis=1) with g = exp(-((x + b) - c)^2 * 1/sigma^2):
-(x + b) - c, square, times -1/sigma^2, exp, times the weights.  Elementwise
-results do not depend on the layout.  Folding the sign into -1/sigma^2 is
-exact: IEEE rounding is symmetric in sign, so (-p)*s and p*(-s) are the same
-double.
+Dense evaluation works through the points in blocks, writes each block into
+its rows of the output (``eval_solution`` passes the slice of its result that
+the segment owns) and runs every step in place, in the order of the plain
+(k, h, m) broadcast formula psi = alpha + ramp*(g*weights).sum(axis=1) with
+g = exp(-((x + b) - c)^2 * 1/sigma^2): (x + b) - c, square, times
+-1/sigma^2, exp, times the weights.  Elementwise results do not depend on
+the layout.  Folding the sign into -1/sigma^2 is exact: IEEE rounding is
+symmetric in sign, so (-p)*s and p*(-s) are the same double.
 
 The sum over nodes is what fixes the bits, and the order of a numpy sum
 depends on the memory layout: a reduced axis that is contiguous is summed
@@ -130,13 +131,14 @@ def _node_terms(x, bias, center, nisw, w, g: np.ndarray) -> None:
     np.multiply(g, w, out=g)
 
 
-def _combine(seg: SegmentSolution, xs: np.ndarray) -> np.ndarray:
-    """Evaluate psi at a 1-d array of points, block by block."""
+def _combine(seg: SegmentSolution, xs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Evaluate psi at a 1-d array of points, block by block, into out (k, m) if given."""
     b = seg.basis
     h, m = b.h, b.m
     size = max(1, min(len(xs), _block_len(h, m)))
     nisw = -b.inv_sq_widths
-    out = np.empty((len(xs), m))
+    if out is None:
+        out = np.empty((len(xs), m))
     if m == 1:  # point-major (k, h): parameters are (h,) rows
         params = [p.ravel() for p in (b.biases, b.centers, nisw, seg.weights)]
         buf = np.empty(size * h)
@@ -168,13 +170,14 @@ def _combine(seg: SegmentSolution, xs: np.ndarray) -> np.ndarray:
     return out
 
 
-def trial_eval(seg: SegmentSolution, x) -> np.ndarray:
+def trial_eval(seg: SegmentSolution, x, out: np.ndarray | None = None) -> np.ndarray:
     """Trial solution at x: (m,) for scalar x, (k, m) for an array of k points.
 
     Points outside [x_start, x_stop] are permitted; the Gaussian tails decay
-    smoothly, so extrapolation is well defined.
+    smoothly, so extrapolation is well defined.  ``out``, a (k, m) float
+    array for k points, receives the values in place and is returned.
     """
     xs = np.asarray(x, dtype=float)
     if xs.ndim == 0:
         return _combine(seg, xs[None])[0]
-    return _combine(seg, xs)
+    return _combine(seg, xs, out)

@@ -365,6 +365,30 @@ def test_trajectory_rejects_too_few_or_non_finite_points():
                 Trajectory(**{**fields, name: values})
 
 
+def test_trajectory_takes_list_fields_or_rejects_them_with_value_error():
+    traj = dp45_solve(OSCILLATOR, StepControl(1e-6, 1e-6))
+    fields = {f.name: getattr(traj, f.name) for f in dataclasses.fields(traj) if f.init}
+    listed = Trajectory(**{**fields, **{name: fields[name].tolist() for name in
+                                        ("abscissae", "states", "derivatives", "extension")}})
+    pts = np.linspace(traj.abscissae[0], traj.abscissae[-1], 101)
+    assert np.array_equal(dense_eval(listed, pts), dense_eval(traj, pts))
+    ragged = fields["states"].tolist()
+    ragged[1] = ragged[1][:1]
+    for name, value in [("abscissae", 3.0), ("abscissae", [[0.0, 1.0]]), ("states", ragged),
+                        ("derivatives", fields["derivatives"][:, 0].tolist()),
+                        ("extension", fields["extension"][1:].tolist()), ("states", "x")]:
+        with pytest.raises(ValueError):
+            Trajectory(**{**fields, name: value})
+
+
+def test_check_underflow_names_the_largest_state_reached():
+    states = np.array([[1.0, -2.0], [-7.5, 3.0], [0.5, 0.25]])
+    for tried, named in (([0.1, 0.2], "y1 = -7.5"), ([0.1, 9.0], "y2 = 9")):
+        with pytest.raises(StepUnderflowError, match=named):
+            _check_underflow(1e-30, 1.0, 1.0, 2.0, states, np.array(tried))
+    _check_underflow(1e-3, 1.0, 1.0, 2.0, states, np.zeros(2))  # above the floor
+
+
 # benchmark parameters and a cut span per problem: ROBER's dp45 step is
 # stability-bound, so its span is cut to keep the solve short
 CLASSICAL = {"hires": ({}, {}), "rober": ({}, {"x_end": 1.0}),
@@ -420,6 +444,19 @@ def test_sdirk_dense_eval_is_the_cubic_hermite_interpolant(classical_trajectory,
     pts = np.concatenate([np.linspace(t[0], t[-1], 20001), rng.uniform(t[0], t[-1], 5000), t])
     got, want = dense_eval(traj, pts), hermite_dense_eval(traj, pts)
     assert (np.abs(got - want) / (1.0 + np.abs(want))).max() <= 1e-15
+
+
+@pytest.mark.parametrize("method", ["dp45", "sdirk"])
+def test_trajectory_arrays_hold_only_the_accepted_points(classical_trajectory, method):
+    traj = classical_trajectory("hires", method)
+    n = traj.n_steps + 1
+    assert traj.n_steps > 64  # the step store has grown past its first size
+    assert traj.abscissae.shape == (n,) and traj.states.shape == traj.derivatives.shape == (n, 8)
+    arrays = [traj.abscissae, traj.states, traj.derivatives]
+    if traj.extension is not None:
+        assert traj.extension.shape == (n - 1, 8)
+        arrays.append(traj.extension)
+    assert all(a.base is None for a in arrays)  # trimmed copies, not views of the store
 
 
 @pytest.mark.parametrize("method", ["dp45", "sdirk"])

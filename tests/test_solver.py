@@ -316,7 +316,15 @@ def test_eval_solution_is_bitwise_the_masked_broadcast_formula(m):
     for count in (0, 1, 2, 1000):
         xs = np.linspace(sol.x0, sol.x_end, count)
         assert np.array_equal(eval_solution(sol, xs), masked_broadcast_eval(sol, xs))
-    assert np.array_equal(eval_solution(sol, sol.knots), masked_broadcast_eval(sol, sol.knots))
+    # descending, on the knots, and sorted with repeats
+    grid = np.linspace(sol.x0, sol.x_end, 999)
+    for xs in (grid[::-1], sol.knots, sol.knots[::-1], np.repeat(sol.knots, 3),
+               np.sort(np.concatenate([grid, sol.knots, sol.knots[1:-1]]))):
+        assert np.array_equal(eval_solution(sol, xs), masked_broadcast_eval(sol, xs))
+    # a knot belongs to the segment on its left, x0 to the first
+    for k, x in enumerate(sol.knots):
+        seg = sol.segments[max(k - 1, 0)]
+        assert np.array_equal(eval_solution(sol, x), broadcast_eval(seg, np.array([x]))[0])
     # unsorted, with repeated points and knot abscissae
     rng = np.random.default_rng(m)
     xs = np.concatenate([rng.uniform(sol.x0, sol.x_end, 700), sol.knots, sol.knots[2:4]])
@@ -427,13 +435,11 @@ def test_concurrent_evaluations_each_get_the_serial_bits():
 def test_dense_evaluation_of_hires_stays_within_its_scratch_budget(solved):
     sol = solved("hires", 0)
     xs = np.linspace(sol.x0, sol.x_end, 150_001)
-    widest = np.bincount(np.searchsorted(sol.knots[1:], xs, side="left")).max()
     block_bytes = 8 * trial_module._BLOCK_VALUES
     budget = (8 * sol.m * len(xs)  # the result
-              + 2 * 8 * len(xs)  # the segment index and sort order of every point
-              + (sol.m + 2) * 8 * widest  # widest segment: its indices, points and values
               + 2 * block_bytes  # one node's slab and the sum over nodes
-              + 2 * 2**20)
+              + len(xs)  # the order check, one byte per point
+              + 2**20)
     tracemalloc.start()
     try:
         eval_solution(sol, xs)
