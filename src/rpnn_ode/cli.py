@@ -1,8 +1,8 @@
 """Command-line front end: solve, benchmark, eval.
 
-``solve`` and ``benchmark`` share the library's paths: the solve dispatch,
-timing and error metrics of :mod:`rpnn_ode.metrics`, and the problem names
-and aliases of :func:`rpnn_ode.problems.canonical_name`.  Exit codes: 0
+``solve`` and ``benchmark`` share the library's paths: one cell's solve,
+timing and report come from :func:`rpnn_ode.metrics.run_cell`, and the problem
+names and aliases from :func:`rpnn_ode.problems.canonical_name`.  Exit codes: 0
 success, 1 usage/argument error, 2 solver failure, 3 I/O failure.  The seed
 falls back to the RPNN_SEED environment variable when --seed is not given.
 """
@@ -19,15 +19,7 @@ from contextlib import nullcontext
 import numpy as np
 
 from .errors import NumericError, StepUnderflowError
-from .metrics import (
-    METHODS,
-    RunReport,
-    _solve_cell,
-    _timed,
-    error_metrics,
-    report_to_dict,
-    run_benchmark,
-)
+from .metrics import METHODS, RunReport, report_to_dict, run_benchmark, run_cell
 from .problems import BENCHMARK_NAMES, canonical_name, make_benchmark
 from .serialize import SolutionFormatError, load_solution, save_solution
 
@@ -104,27 +96,19 @@ def _cmd_solve(args) -> int:
         raise ValueError("--save-solution only applies to --method rpnn")
 
     try:
-        (evaluable, n_points, n_segments), times = _timed(
-            lambda: _solve_cell(problem, args.method, args.tol, args.seed), args.repeats
-        )
+        evaluable, report = run_cell(problem, args.method, args.tol, args.seed, args.repeats,
+                                     problem.analytic if args.report else None, grid)
     except (StepUnderflowError, NumericError) as failure:
         if args.report:
             report = RunReport.failed(problem, args.method, args.tol, args.seed, str(failure))
             _dump_json(args.report, report_to_dict(report))
-        print(f"error: solver failed: {failure}", file=sys.stderr)
-        return EXIT_SOLVER
+        raise  # main reports the failure and exits EXIT_SOLVER
 
-    values = evaluable(grid)
     if args.out:
-        _write_table(args.out, grid, values, args.format)
+        _write_table(args.out, grid, evaluable(grid), args.format)
     if args.save_solution:
         save_solution(evaluable, args.save_solution)
     if args.report:
-        metrics = None
-        if problem.analytic is not None:
-            metrics = error_metrics(evaluable, problem.analytic, grid)
-        report = RunReport(problem.name, dict(problem.params), args.method, args.tol,
-                           args.seed, metrics, n_points, n_segments, times)
         _dump_json(args.report, report_to_dict(report))
     return EXIT_OK
 
@@ -149,9 +133,8 @@ def _cmd_benchmark(args) -> int:
             problems.append(make_benchmark(name, lam=args.lam))
         else:
             problems.append(make_benchmark(name))
-    grid_sizes = {name: args.grid_size for name in suite} if args.grid_size else None
     reports = run_benchmark(
-        problems, tol=args.tol, seed=args.seed, repeats=args.repeats, grid_sizes=grid_sizes
+        problems, tol=args.tol, seed=args.seed, repeats=args.repeats, grid_size=args.grid_size
     )
     os.makedirs(args.report_dir, exist_ok=True)
     for report in reports:

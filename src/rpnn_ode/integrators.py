@@ -28,10 +28,10 @@ mixed norm max_i |err_i| / (abs_tol + rel_tol * max(|y_i|, |y_new_i|)) is at
 most 1, and the next step is h * min(_MAX_FACTOR, max(_MIN_FACTOR,
 0.9 * err^(-1/order))), never growing after a rejection, with
 ``_MIN_FACTOR`` = 0.2 and ``_MAX_FACTOR`` = 5.  A step that fails outright (a
-non-finite stage or error, a Newton iteration that does not converge, a
-singular iteration matrix) shrinks h by ``_MIN_FACTOR``.  A solve that
-attempts ``_MAX_STEPS`` = 5,000,000 steps, accepted or rejected, without
-reaching x_end raises StepUnderflowError.
+non-finite stage or error, an OverflowError from the rhs, a Newton iteration
+that does not converge, a singular iteration matrix) shrinks h by
+``_MIN_FACTOR``.  A solve that attempts ``_MAX_STEPS`` = 5,000,000 steps,
+accepted or rejected, without reaching x_end raises StepUnderflowError.
 
 Both record the state and its derivative at every accepted point, and
 :func:`dense_eval` interpolates either with one formula (Hairer, Norsett &
@@ -215,13 +215,22 @@ def _integrate(problem: OdeProblem, ctrl: StepControl, order: int, attempt) -> T
     ``(y_new, err, accept)`` with err the scaled error norm.  On acceptance
     (err <= 1) ``accept(x_new)`` returns f at the new point and the step's
     quartic dense-output term r5, or None for a method without one.
+
+    An OverflowError from the problem counts as a non-finite value where it
+    is raised: the built-in problems square a component with ``y ** 2`` on
+    Python floats at a single point, which raises where numpy gives inf.  At
+    the initial point it raises NumericError; in an attempt or in
+    ``accept``, before anything is committed, the step fails outright.
     """
     x, y = problem.x0, problem.alpha.copy()
-    f = np.asarray(problem.rhs(x, y), dtype=float)
-    if not np.isfinite(f).all():
+    try:
+        f = np.asarray(problem.rhs(x, y), dtype=float)
+        h = _initial_step(problem, f, ctrl, order) if np.isfinite(f).all() else None
+    except OverflowError:
+        h = None
+    if h is None:
         raise NumericError(f"rhs not finite at the initial point of {problem.name!r}")
     span = problem.x_end - problem.x0
-    h = _initial_step(problem, f, ctrl, order)
     inv_order = 1.0 / order
     # accepted point i in row i of arrays that double when full; step i's r5 in row i of r5s
     xs, ys, fs, r5s = np.empty(64), np.empty((64, problem.m)), np.empty((64, problem.m)), None
@@ -234,8 +243,11 @@ def _integrate(problem: OdeProblem, ctrl: StepControl, order: int, attempt) -> T
                                      abscissa=x, last_error=last_error)
         _check_underflow(h, x, span, last_error, ys[: n_steps + 1], tried)
         h = min(h, problem.x_end - x)
-        last = h >= problem.x_end - x
-        step = attempt(x, y, f, h)
+        x_new = problem.x_end if h >= problem.x_end - x else x + h
+        try:
+            step = attempt(x, y, f, h)
+        except OverflowError:
+            step = None
         if step is None:
             n_rejected += 1
             h *= _MIN_FACTOR
@@ -246,9 +258,13 @@ def _integrate(problem: OdeProblem, ctrl: StepControl, order: int, attempt) -> T
             n_rejected += 1
             h *= min(1.0, _grow_factor(err, inv_order))
             continue
-        x = problem.x_end if last else x + h
-        y = y_new
-        f, r5 = accept(x)
+        try:
+            f_new, r5 = accept(x_new)
+        except OverflowError:
+            n_rejected += 1
+            h *= _MIN_FACTOR
+            continue
+        x, y, f = x_new, y_new, f_new
         n_steps += 1
         if n_steps == len(xs):
             xs, ys, fs, r5s = (a if a is None else np.concatenate([a, np.empty_like(a)])
@@ -323,8 +339,11 @@ def sdirk_solve(problem: OdeProblem, ctrl: StepControl) -> Trajectory:
     k = np.empty((5, problem.m))
 
     def attempt(x, y, f, h):
-        jac = np.asarray(problem.ode_jacobian(x, y), dtype=float)
-        if not np.isfinite(jac).all():
+        try:
+            jac = np.asarray(problem.ode_jacobian(x, y), dtype=float)
+        except OverflowError:
+            jac = None
+        if jac is None or not np.isfinite(jac).all():
             raise NumericError(f"ode_jacobian not finite at x={x!r}")
         try:
             inv = np.linalg.inv(eye - h * _SD_GAMMA * jac)

@@ -6,10 +6,10 @@ implicit trajectory.  An "evaluable" is any callable mapping a 1-d
 array of abscissae to a (len(x), m) array of states; piecewise solutions and
 trajectories both satisfy this through their __call__.
 
-Each concern has one function, which the CLI uses as well:
-:func:`_solve_cell` dispatches a solve by method, :func:`_timed` times
-repeated runs, :func:`error_metrics` computes the error norms and
-:func:`reference_solution` chooses the reference.
+Each concern has one function: :func:`_solve_cell` dispatches a solve by
+method, :func:`_timed` times repeated runs, :func:`error_metrics` computes the
+error norms and :func:`reference_solution` chooses the reference.  The suite
+and the CLI's ``solve`` build each cell's report through :func:`run_cell`.
 """
 
 from __future__ import annotations
@@ -139,7 +139,9 @@ def _timed(fn, repeats: int):
 
 
 def _solve_cell(problem: OdeProblem, method: str, tol: float, seed: int):
-    """Solve with one method; returns (evaluable, n_points, n_segments)."""
+    """Solve with one of METHODS (else ValueError); returns (evaluable, n_points, n_segments)."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     if method == "rpnn":
         sol = solve_adaptive(problem, SolverConfig(tol=tol, seed=seed))
         return sol, sol.total_points, sol.n_segments
@@ -148,22 +150,35 @@ def _solve_cell(problem: OdeProblem, method: str, tol: float, seed: int):
     return traj, len(traj.abscissae), traj.n_steps
 
 
+def run_cell(problem: OdeProblem, method: str, tol: float, seed: int, repeats: int,
+             reference: Evaluable | None, grid: np.ndarray) -> tuple[Evaluable, RunReport]:
+    """Solve one cell `repeats` times; returns (first solution, report), with metrics
+    against `reference` on `grid`, or None without a reference.  Raises ValueError,
+    before any solve, for `repeats` below 1 or an unknown method, else what the solve raises."""
+    (evaluable, n_points, n_segments), times = _timed(
+        lambda: _solve_cell(problem, method, tol, seed), repeats
+    )
+    metrics = None if reference is None else error_metrics(evaluable, reference, grid)
+    return evaluable, RunReport(problem.name, dict(problem.params), method, tol, seed,
+                                metrics, n_points, n_segments, times)
+
+
 def run_benchmark(
     problems: Sequence[OdeProblem],
     tol: float,
     seed: int = 0,
     repeats: int = 1,
-    grid_sizes: dict | None = None,
+    grid_size: int | None = None,
     methods: Sequence[str] = METHODS,
 ) -> list[RunReport]:
     """Solve each problem with each method, timed over `repeats` runs.
 
-    Errors are measured on the problem's metric grid against
-    :func:`reference_solution`: the analytic solution when the problem has
-    one (Prothero-Robinson), else an sdirk trajectory at REFERENCE_TOL.
-    rpnn runs with the default :class:`SolverConfig` at `tol` and `seed`.
-    A failing cell is recorded with status "error" and does not abort the
-    suite.
+    Errors are measured on the problem's metric grid, of `grid_size` points
+    when given, against :func:`reference_solution`: the analytic solution
+    when the problem has one (Prothero-Robinson), else an sdirk trajectory at
+    REFERENCE_TOL.  rpnn runs with the default :class:`SolverConfig` at `tol`
+    and `seed`.  A failing cell is recorded with status "error" and does not
+    abort the suite.
     """
     if repeats < 1:
         raise ValueError(f"need repeats >= 1, got {repeats}")
@@ -172,7 +187,7 @@ def run_benchmark(
         raise ValueError(f"unknown methods: {sorted(unknown)}")
     reports = []
     for problem in problems:
-        grid = metric_grid(problem, (grid_sizes or {}).get(problem.name))
+        grid = metric_grid(problem, grid_size)
         try:
             ref = reference_solution(problem)
         except Exception as exc:  # record, keep going
@@ -181,13 +196,7 @@ def run_benchmark(
             continue
         for method in methods:
             try:
-                (evaluable, n_points, n_segments), times = _timed(
-                    lambda: _solve_cell(problem, method, tol, seed), repeats
-                )
-                reports.append(
-                    RunReport(problem.name, dict(problem.params), method, tol, seed,
-                              error_metrics(evaluable, ref, grid), n_points, n_segments, times)
-                )
+                reports.append(run_cell(problem, method, tol, seed, repeats, ref, grid)[1])
             except Exception as exc:
                 reports.append(RunReport.failed(problem, method, tol, seed, str(exc)))
     return reports

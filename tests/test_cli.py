@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 import rpnn_ode.cli as cli_module
+import rpnn_ode.metrics as metrics_module
 from rpnn_ode import (
     SolverConfig,
     StepUnderflowError,
     eval_solution,
     load_solution,
     make_benchmark,
+    run_benchmark,
     solve_adaptive,
 )
 from rpnn_ode.cli import _parse_suite, main
@@ -340,7 +342,7 @@ def test_failed_solve_writes_an_error_report(tmp_path, monkeypatch):
     def fail(problem, method, tol, seed):
         raise StepUnderflowError("stuck", abscissa=0.5)
 
-    monkeypatch.setattr(cli_module, "_solve_cell", fail)
+    monkeypatch.setattr(metrics_module, "_solve_cell", fail)
     report = tmp_path / "r.json"
     assert main(["solve", "--problem", "vdp", "--mu", "10", "--method", "dp45", "--tol", "1e-4",
                  "--seed", "3", "--report", str(report)]) == 2
@@ -350,3 +352,15 @@ def test_failed_solve_writes_an_error_report(tmp_path, monkeypatch):
         "n_segments": 0, "times": {"median": 0.0, "min": 0.0, "max": 0.0, "repeats": 0},
         "status": "error", "detail": "stuck",
     }
+
+
+def test_solve_report_is_the_benchmark_report_of_the_same_cell(tmp_path):
+    report = tmp_path / "r.json"
+    assert main(["solve", "--problem", "pr", "--lambda", "-1e5", "--tol", "1e-3", "--seed", "0",
+                 "--grid-size", "500", "--report", str(report)]) == 0
+    (cell,) = run_benchmark([make_benchmark("pr", lam=-1e5)], tol=1e-3, seed=0,
+                            grid_size=500, methods=("rpnn",))
+    solved, benched = json.loads(report.read_text()), metrics_module.report_to_dict(cell)
+    assert solved.pop("times")["repeats"] == benched.pop("times")["repeats"] == 1
+    assert solved["metrics"]["grid_size"] == 500
+    assert solved == benched

@@ -16,6 +16,7 @@ from rpnn_ode import (
     sdirk_solve,
 )
 from rpnn_ode import integrators
+from rpnn_ode.errors import NumericError
 from rpnn_ode.integrators import (
     _BLOCK_VALUES,
     _DP_A,
@@ -507,18 +508,96 @@ def test_dp45_rejects_a_non_finite_stage_with_min_factor(monkeypatch):
     assert abs(traj.states[-1, 0] - math.exp(-10.0)) <= 1e-7
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, np.finfo(float).max])
-def test_sdirk_rejects_a_non_finite_newton_iteration_with_min_factor(monkeypatch, bad):
-    # the rhs is bad on its first call in the first attempt and at negative
-    # states; bad is NaN, +inf, or finite but large enough that h*gamma*f
-    # overflows.  A first step of 10 fails on stage 1's first Newton
-    # iteration; the next, of 5, moves stage 2's iterate below zero and fails
-    # on its second iteration
+def test_dp45_rejects_an_overflowing_stage_with_min_factor(monkeypatch):
+    # as above, but the rhs raises OverflowError at negative states, as
+    # Python-float arithmetic does where numpy gives inf
     stage_abscissae = []
 
     def rhs(x, y):
         stage_abscissae.append(x)
-        return np.where((y < 0.0) | (len(stage_abscissae) == 2), bad, -y)
+        if y[0] < 0.0:
+            math.exp(1e3)
+        return -y
+
+    decay = OdeProblem(name="decay", m=1, x0=0.0, x_end=10.0, alpha=np.array([1.0]),
+                       rhs=rhs, ode_jacobian=lambda x, y: -np.eye(1))
+    monkeypatch.setattr(integrators, "_initial_step", lambda *args: 10.0)
+    monkeypatch.setattr(integrators, "_MIN_FACTOR", 0.5)
+    traj = dp45_solve(decay, StepControl(1e-8, 1e-8))
+    assert stage_abscissae[1] == 2.0  # first attempt, h = 10: stage 2 overflows
+    assert stage_abscissae[2] == 1.0  # next attempt, h = 10 * _MIN_FACTOR
+    assert traj.n_rejected >= 1
+    assert traj.abscissae[-1] == 10.0
+    assert abs(traj.states[-1, 0] - math.exp(-10.0)) <= 1e-7
+
+
+def test_an_overflowing_rhs_at_the_accepted_point_fails_the_step(monkeypatch):
+    # the first step's accept overflows: nothing of it is kept, and h shrinks by _MIN_FACTOR
+    steps = []
+
+    def attempt(x, y, f, h):
+        steps.append((x, h))
+        y_new = y * math.exp(-h)
+
+        def accept(x_new):
+            if len(steps) == 1:
+                math.exp(1e3)
+            return -y_new, None
+
+        return y_new, 0.5, accept
+
+    monkeypatch.setattr(integrators, "_initial_step", lambda *args: 1.0)
+    traj = integrators._integrate(DECAY, StepControl(1e-8, 1e-8), 4, attempt)
+    assert steps[:2] == [(0.0, 1.0), (0.0, _MIN_FACTOR)]
+    assert traj.n_rejected == 1
+    assert traj.abscissae[:2].tolist() == [0.0, _MIN_FACTOR]
+
+
+@pytest.mark.parametrize("solve", [dp45_solve, sdirk_solve])
+def test_an_overflowing_rhs_at_the_initial_point_raises_numeric_error(solve):
+    # the built-in van der Pol squares y1 on Python floats, which overflows
+    # for |y1| > 1.3e154 where numpy would give inf
+    huge = dataclasses.replace(make_benchmark("vdp", mu=1), alpha=np.array([1e160, 0.0]))
+    with pytest.raises(NumericError, match="rhs not finite at the initial point"):
+        solve(huge, StepControl(1e-6, 1e-6))
+
+
+def test_an_overflowing_rhs_in_the_starting_step_raises_numeric_error():
+    def rhs(x, y):
+        if x > 0.0:
+            math.exp(1e3)
+        return -y
+
+    decay = dataclasses.replace(DECAY, rhs=rhs)
+    with pytest.raises(NumericError, match="rhs not finite at the initial point"):
+        dp45_solve(decay, StepControl(1e-6, 1e-6))
+
+
+def test_an_overflowing_sdirk_jacobian_raises_numeric_error():
+    def jac(x, y):
+        math.exp(1e3)
+
+    with pytest.raises(NumericError, match="ode_jacobian not finite at x=0.0"):
+        sdirk_solve(dataclasses.replace(DECAY, ode_jacobian=jac), StepControl(1e-6, 1e-6))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, np.finfo(float).max, OverflowError])
+def test_sdirk_rejects_a_non_finite_newton_iteration_with_min_factor(monkeypatch, bad):
+    # the rhs is bad on its first call in the first attempt and at negative
+    # states; bad is NaN, +inf, finite but large enough that h*gamma*f
+    # overflows, or an OverflowError raised as Python-float arithmetic does.
+    # A first step of 10 fails on stage 1's first Newton iteration; the next,
+    # of 5, moves stage 2's iterate below zero and fails on its second iteration
+    stage_abscissae = []
+
+    def rhs(x, y):
+        stage_abscissae.append(x)
+        is_bad = (y < 0.0) | (len(stage_abscissae) == 2)
+        if bad is not OverflowError:
+            return np.where(is_bad, bad, -y)
+        if is_bad.any():
+            math.exp(1e3)
+        return -y
 
     decay = OdeProblem(name="decay", m=1, x0=0.0, x_end=10.0, alpha=np.array([1.0]),
                        rhs=rhs, ode_jacobian=lambda x, y: -np.eye(1))

@@ -12,7 +12,7 @@ from rpnn_ode import (
     run_benchmark,
     solve_adaptive,
 )
-from rpnn_ode.metrics import _timed, default_grid_size, report_to_dict
+from rpnn_ode.metrics import _solve_cell, _timed, default_grid_size, report_to_dict
 
 
 def as_eval(fn):
@@ -135,6 +135,18 @@ def test_run_benchmark_validation():
         run_benchmark([make_benchmark("pr")], tol=1e-3, repeats=0)
     with pytest.raises(ValueError):
         run_benchmark([make_benchmark("pr")], tol=1e-3, methods=("rpnn", "euler"))
+
+
+def test_solve_cell_rejects_an_unknown_method():
+    with pytest.raises(ValueError, match="unknown method 'euler'"):
+        _solve_cell(make_benchmark("pr"), "euler", 1e-3, 0)
+
+
+def test_run_benchmark_measures_every_cell_on_grid_size_points():
+    problems = [make_benchmark("pr", lam=-10.0), make_benchmark("pr", lam=-50.0)]
+    reports = run_benchmark(problems, tol=1e-3, grid_size=50, methods=("rpnn", "sdirk"))
+    assert len(reports) == 4
+    assert all(r.status == "ok" and r.metrics.grid_size == 50 for r in reports)
 
 
 def test_eval_grid_timing():

@@ -432,6 +432,15 @@ def test_concurrent_evaluations_each_get_the_serial_bits():
         assert len(got) == 5 and all(np.array_equal(want, values) for values in got)
 
 
+def _peak_bytes_of_evaluation(sol, xs) -> int:
+    tracemalloc.start()
+    try:
+        eval_solution(sol, xs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_dense_evaluation_of_hires_stays_within_its_scratch_budget(solved):
     sol = solved("hires", 0)
     xs = np.linspace(sol.x0, sol.x_end, 150_001)
@@ -440,10 +449,19 @@ def test_dense_evaluation_of_hires_stays_within_its_scratch_budget(solved):
               + 2 * block_bytes  # one node's slab and the sum over nodes
               + len(xs)  # the order check, one byte per point
               + 2**20)
-    tracemalloc.start()
-    try:
-        eval_solution(sol, xs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _peak_bytes_of_evaluation(sol, xs)
+    assert peak < budget, (peak, budget)
+
+
+def test_shuffled_dense_evaluation_of_hires_stays_within_its_scratch_budget(solved):
+    sol = solved("hires", 0)
+    xs = np.linspace(sol.x0, sol.x_end, 150_001)
+    widest = np.diff(np.searchsorted(xs, sol.knots, side="right")).max()
+    np.random.default_rng(0).shuffle(xs)
+    budget = (8 * sol.m * len(xs)  # the result
+              + 8 * sol.m * widest  # the widest segment's values, before the scatter
+              + 16 * len(xs)  # the sort order and the sorted points
+              + 2 * 8 * trial_module._BLOCK_VALUES  # one node's slab and the sum over nodes
+              + 2**20)
+    peak = _peak_bytes_of_evaluation(sol, xs)
     assert peak < budget, (peak, budget)
