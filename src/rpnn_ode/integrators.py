@@ -44,8 +44,10 @@ with r2 = y1 - y0, r3 = h*f0 - r2 and r4 = r2 - h*f1 - r3.  r5 = 0 gives
 cubic Hermite, which implicit trajectories use on their (smaller) steps; dp45
 trajectories carry r5 = h * sum(d_i k_i), the pair's order-4 continuous
 extension.  Like the MATLAB suite's dense output, which works one step's
-interpolant at a time, :func:`dense_eval` works through the points in
-cache-sized blocks, bit for bit one pass.
+interpolant at a time, :func:`dense_eval` walks the sorted points over the
+abscissae once: one search of the abscissae into the points gives every
+step's run of points, the knot walk that ``solver.eval_solution`` uses, and
+cache-sized blocks repeat each step's terms over its run, bit for bit one pass.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ import numpy as np
 
 from .errors import NumericError, StepUnderflowError
 from .problems import OdeProblem
-from .trial import _BLOCK_VALUES, _evaluation_points
+from .trial import _BLOCK_VALUES, _evaluation_points, _knot_walk
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -375,39 +377,50 @@ def dense_eval(traj: Trajectory, x) -> np.ndarray:
     when x has more than one dimension, or when a point lies outside the
     trajectory or is NaN.
 
-    The points are checked once and then interpolated in blocks of
-    ``_BLOCK_VALUES // (4*m)`` points (2,048 for m = 8), so a block's
-    (4, points, m) gather of the step terms stays in L2 cache.  Every
-    operation acts on each point alone, with no reduction across points, so
-    the values are bit for bit those of one pass over the whole array.
+    Steps own left-closed intervals, the last step x_end too.  Sorted points
+    go straight into the output; points in any other order, repeats
+    included, are argsorted once (16 bytes per point) and each block's
+    values are scattered into place.  A block of ``_BLOCK_VALUES // (4*m)``
+    points (2,048 for m = 8) repeats each of its steps' rows (left abscissa,
+    width, terms r2..r5 and state) over the step's run of points, so the
+    terms are contiguous (points, m) slabs in L2 cache; with theta spelled
+    out to (points, m), each pass runs in place over contiguous values, in
+    about half the time of strided terms and a new array per pass (HIRES,
+    2-vCPU Xeon).  Every operation acts on each point alone, with no
+    reduction across points, so the values are bit for bit those of one pass
+    over the whole array.
     """
     t = traj.abscissae
     pts, scalar = _evaluation_points(x, t[0], t[-1])
     m = traj.states.shape[1]
     size = max(1, _BLOCK_VALUES // (4 * m))
     out = np.empty((len(pts), m))
+    pts, order, bounds = _knot_walk(pts, t, "left")
+    buf = None if order is None else np.empty((min(size, len(pts)), m))
     for lo in range(0, len(pts), size):
-        _interpolate(traj, pts[lo : lo + size], out[lo : lo + size])
+        block = pts[lo : lo + size]
+        hi = lo + len(block)
+        # steps first..last-1 hold the block: their runs of points, clipped to it
+        first = np.searchsorted(bounds, lo, side="right") - 1
+        last = np.searchsorted(bounds, hi - 1, side="right")
+        counts = np.diff(np.clip(bounds[first : last + 1], lo, hi))
+        steps = slice(first, last)
+        width = np.repeat(t[first + 1 : last + 1] - t[steps], counts)
+        theta = np.repeat((block - np.repeat(t[steps], counts)) / width, m).reshape(-1, m)
+        rest = 1.0 - theta
+        r2, r3, r4, acc = np.repeat(traj._terms[:, steps], counts, axis=1)
+        for factor, term in ((rest, r4), (theta, r3), (rest, r2)):  # innermost first
+            acc *= factor
+            acc += term
+        acc *= theta
+        rows = out[lo:hi] if order is None else buf[: len(block)]
+        np.add(np.repeat(traj.states[steps], counts, axis=0), acc, out=rows)
+        # theta == 1 at x_end, and where rounding makes it 1 just left of a
+        # knot: take the right state, which y0 + r2 need not round to
+        at_end = theta[:, 0] == 1.0
+        if at_end.any():
+            right = np.searchsorted(t, block[at_end], side="right")
+            rows[at_end] = traj.states[np.minimum(right, len(t) - 1)]
+        if order is not None:
+            out[order[lo:hi]] = rows
     return out[0] if scalar else out
-
-
-def _interpolate(traj: Trajectory, pts: np.ndarray, out: np.ndarray) -> None:
-    """Write the dense output at the 1-d points ``pts`` into ``out`` (k, m).
-
-    The gathered terms are contiguous (k, m) slabs and theta is spelled out to
-    (k, m), so each pass runs in place over k*m contiguous values, in about
-    half the time of strided terms and a new array per pass (HIRES, 2-vCPU Xeon)."""
-    t = traj.abscissae
-    idx = np.clip(np.searchsorted(t, pts, side="right") - 1, 0, len(t) - 2)
-    theta = np.repeat((pts - t[idx]) / (t[idx + 1] - t[idx]), out.shape[1]).reshape(out.shape)
-    rest = 1.0 - theta
-    r2, r3, r4, acc = np.take(traj._terms, idx, axis=1)
-    for factor, term in ((rest, r4), (theta, r3), (rest, r2)):  # innermost first
-        acc *= factor
-        acc += term
-    acc *= theta
-    np.add(traj.states[idx], acc, out=out)
-    # exact right-trajectory endpoint (theta == 1 only occurs there), where
-    # y0 + r2 need not round to y1; at interior knots theta is 0
-    at_end = theta[:, 0] == 1.0
-    out[at_end] = traj.states[idx[at_end] + 1]

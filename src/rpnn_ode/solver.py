@@ -24,7 +24,7 @@ from .collocation import CollocationGrid, assemble_jacobian, assemble_residual, 
 from .errors import NumericError, StepUnderflowError
 from .leastnorm import truncated_pinv_solve
 from .problems import OdeProblem
-from .trial import SegmentSolution, _evaluation_points, trial_eval
+from .trial import SegmentSolution, _evaluation_points, _knot_walk, trial_eval
 
 _MIN_WIDTH_FACTOR = 2.0**-30  # width floor, relative to the whole domain
 
@@ -184,10 +184,18 @@ class PiecewiseSolution:
 def solve_adaptive(problem: OdeProblem, config: SolverConfig) -> PiecewiseSolution:
     """Solve the IVP by adaptive segment training; deterministic in config.seed.
 
-    Raises StepUnderflowError when repeated halving pushes the interval width
-    below ``_MIN_WIDTH_FACTOR`` * (x_end - x0), with ``_MIN_WIDTH_FACTOR`` =
-    2^-30.
+    Raises NumericError when f(x0, alpha) is not finite, an OverflowError
+    from the rhs included, as the classical integrators do: no width could
+    train from there.  Raises StepUnderflowError when repeated halving pushes
+    the interval width below ``_MIN_WIDTH_FACTOR`` * (x_end - x0), with
+    ``_MIN_WIDTH_FACTOR`` = 2^-30.
     """
+    try:
+        finite = np.isfinite(np.asarray(problem.rhs(problem.x0, problem.alpha), dtype=float)).all()
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise NumericError(f"rhs not finite at the initial point of {problem.name!r}")
     rng = SeededRng(config.seed)
     span = problem.x_end - problem.x0
     floor = _MIN_WIDTH_FACTOR * span
@@ -255,12 +263,7 @@ def eval_solution(sol: PiecewiseSolution, x) -> np.ndarray:
     """
     pts, scalar = _evaluation_points(x, sol.x0, sol.x_end)
     out = np.empty((len(pts), sol.m))
-    order = None
-    if np.any(pts[1:] < pts[:-1]):
-        order = np.argsort(pts, kind="stable")
-        pts = pts[order]
-    bounds = np.searchsorted(pts, sol.knots, side="right")
-    bounds[0], bounds[-1] = 0, len(pts)
+    pts, order, bounds = _knot_walk(pts, sol.knots, "right")
     for k in np.flatnonzero(np.diff(bounds)):
         run = slice(bounds[k], bounds[k + 1])
         if order is None:

@@ -112,6 +112,26 @@ def _evaluation_points(x, lo: float, hi: float) -> tuple[np.ndarray, bool]:
     return pts, xs.ndim == 0
 
 
+def _knot_walk(pts: np.ndarray, knots: np.ndarray, side: str):
+    """Cut 1-d points at increasing knots; returns (sorted points, order, bounds).
+
+    Unsorted points are argsorted once; order is None when pts is sorted.  The
+    sort need not be stable: each point keeps its own value and row.
+    Interval k owns the sorted points bounds[k]:bounds[k + 1], found by one
+    search of the knots into the points, not a search per point.  An interior
+    knot belongs to the interval on its left for ``side="right"`` and on its
+    right for ``side="left"``; the first interval owns knots[0] and the last
+    knots[-1] either way.
+    """
+    order = None
+    if np.any(pts[1:] < pts[:-1]):
+        order = np.argsort(pts)
+        pts = pts[order]
+    bounds = np.searchsorted(pts, knots, side=side)
+    bounds[0], bounds[-1] = 0, len(pts)
+    return pts, order, bounds
+
+
 def _block_len(h: int, m: int) -> int:
     """Points per evaluation block for h nodes and m components.
 

@@ -437,6 +437,50 @@ def test_blocked_dense_eval_is_bitwise_the_whole_array_oracle(classical_trajecto
     assert np.array_equal(dense_eval(traj, t), traj.states)
 
 
+@pytest.mark.parametrize("solve", [dp45_solve, sdirk_solve])
+def test_a_step_holding_more_than_two_blocks_is_bitwise_the_oracle(solve):
+    traj = solve(DECAY, StepControl(1e-3, 1e-3))
+    grid = np.linspace(0.0, 1.0, 150_001)
+    block = _BLOCK_VALUES // 4
+    assert np.diff(np.searchsorted(grid, traj.abscissae)).max() > 2 * block
+    assert_bitwise_the_oracle(traj, grid)
+    assert_bitwise_the_oracle(traj, grid[::-1])
+
+
+@pytest.mark.parametrize("method", ["dp45", "sdirk"])
+def test_block_edges_on_abscissae_are_bitwise_the_oracle(classical_trajectory, method):
+    traj = classical_trajectory("hires", method)
+    t = traj.abscissae
+    block = _BLOCK_VALUES // (4 * traj.states.shape[1])
+    i, j = len(t) // 3, 2 * len(t) // 3
+    # t[i] is the last point of the first block, t[j] the first of the third
+    pts = np.concatenate([np.linspace(t[0], t[i], block), np.linspace(t[i], t[j], block + 1)[1:],
+                          np.linspace(t[j], t[-1], block // 2)])
+    assert pts[block - 1] == t[i] and pts[2 * block] == t[j] and pts[-1] == t[-1]
+    assert_bitwise_the_oracle(traj, pts)
+    assert_bitwise_the_oracle(traj, pts[::-1])
+
+
+def test_theta_rounded_to_one_left_of_a_knot_takes_the_knot_state():
+    # (1 - 2^-53) - (-1) rounds to 2 = 1 - (-1), so theta is 1.0 inside step 0
+    rng = np.random.default_rng(0)
+    traj = Trajectory(np.array([-1.0, 1.0, 2.0]), rng.normal(size=(3, 2)),
+                      rng.normal(size=(3, 2)), 2, 0)
+    x = np.array([1.0 - 2.0**-53, 0.5, 2.0, 1.0 - 2.0**-53])
+    assert np.array_equal(dense_eval(traj, x)[[0, 2, 3]], traj.states[[1, 2, 1]])
+    assert_bitwise_the_oracle(traj, x)
+
+
+@pytest.mark.parametrize("method", ["dp45", "sdirk"])
+def test_shuffled_abscissae_with_repeats_give_the_states(classical_trajectory, method):
+    traj = classical_trajectory("hires", method)
+    t = traj.abscissae
+    perm = np.random.default_rng(len(t)).integers(0, len(t), 3 * len(t))
+    assert len(np.unique(perm)) < len(perm)
+    assert np.array_equal(dense_eval(traj, t[perm]), traj.states[perm])
+    assert_bitwise_the_oracle(traj, t[perm])
+
+
 @pytest.mark.parametrize("name", sorted(CLASSICAL))
 def test_sdirk_dense_eval_is_the_cubic_hermite_interpolant(classical_trajectory, name):
     traj = classical_trajectory(name, "sdirk")
@@ -473,6 +517,21 @@ def test_dense_eval_peak_memory_is_the_output_plus_one_block(classical_trajector
     # the 9.6 MB output plus one 2,048-point block (about 1 MB of scratch); the
     # whole-array oracle peaks at 62 MB (sdirk) and 72 MB (dp45) on this grid
     assert peak < out.nbytes + 2**21
+
+
+@pytest.mark.parametrize("method", ["dp45", "sdirk"])
+def test_shuffled_dense_eval_peak_memory_is_the_output_plus_the_sort(classical_trajectory, method):
+    traj = classical_trajectory("hires", method)
+    grid = np.linspace(traj.abscissae[0], traj.abscissae[-1], 150_001)
+    np.random.default_rng(0).shuffle(grid)
+    tracemalloc.start()
+    try:
+        out = dense_eval(traj, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # beyond the sorted grid's budget: the sort order and the sorted points
+    assert peak < out.nbytes + 16 * len(grid) + 2**21
 
 
 def test_step_control_validation():

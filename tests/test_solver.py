@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import threading
@@ -253,8 +254,9 @@ def test_deterministic_under_fixed_seed():
 
 
 def test_step_underflow_raises_with_diagnostics(monkeypatch):
+    # finite at the initial point only, so that the start-up check passes
     bad = OdeProblem(name="hopeless", m=1, x0=0.0, x_end=1.0, alpha=np.zeros(1),
-                     rhs=lambda x, y: np.array([np.nan]),
+                     rhs=lambda x, y: np.where(np.asarray(x)[..., None] > 0.0, np.nan, 0.0),
                      ode_jacobian=lambda x, y: np.array([[np.nan]]))
     monkeypatch.setattr(solver_module, "_MIN_WIDTH_FACTOR", 2.0**-6)
     with pytest.raises(StepUnderflowError) as info:
@@ -262,6 +264,19 @@ def test_step_underflow_raises_with_diagnostics(monkeypatch):
     assert info.value.abscissa == 0.0
     assert "underflow" in str(info.value)
     assert f"floor {2.0**-6!r}" in str(info.value)
+
+
+@pytest.mark.parametrize("rhs", [
+    None,  # the built-in van der Pol squares y1 = 1e160 on Python floats: OverflowError
+    lambda x, y: np.full(np.shape(y), np.nan),
+    lambda x, y: np.full(np.shape(y), -np.inf),
+])
+def test_an_rhs_not_finite_at_the_initial_point_raises_numeric_error(rhs):
+    problem = dataclasses.replace(make_benchmark("vdp", mu=1), alpha=np.array([1e160, 0.0]))
+    if rhs is not None:
+        problem = dataclasses.replace(problem, rhs=rhs)
+    with pytest.raises(NumericError, match="rhs not finite at the initial point of 'van_der_pol"):
+        solve_adaptive(problem, SolverConfig(tol=1e-6, seed=0))
 
 
 @pytest.mark.parametrize("tol", [1e-3, 1e-6])
