@@ -58,7 +58,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericError, StepUnderflowError
-from .problems import OdeProblem
+from .problems import OdeProblem, initial_rhs
 from .trial import _BLOCK_VALUES, _evaluation_points, _knot_walk
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -128,7 +128,6 @@ class Trajectory:
     abscissae: np.ndarray
     states: np.ndarray
     derivatives: np.ndarray
-    n_steps: int
     n_rejected: int
     extension: np.ndarray | None = None
     _terms: np.ndarray = field(init=False, repr=False, compare=False)  # (4, n_steps, m)
@@ -144,8 +143,6 @@ class Trajectory:
         if len(t) < 2:
             raise ValueError("a trajectory needs at least 2 abscissae")
         n_steps, m = y.shape[0] - 1, y.shape[1]
-        if self.n_steps != n_steps:
-            raise ValueError(f"n_steps {self.n_steps} != abscissae - 1 = {n_steps}")
         if self.extension is not None and self.extension.shape != (n_steps, m):
             raise ValueError(f"extension {self.extension.shape} must have shape ({n_steps}, {m})")
         arrays = (t, y, f, self.extension)
@@ -160,6 +157,11 @@ class Trajectory:
         terms[2] = terms[0] - h * f[1:] - terms[1]
         terms[3] = 0.0 if self.extension is None else self.extension
         object.__setattr__(self, "_terms", terms)
+
+    @property
+    def n_steps(self) -> int:
+        """Accepted steps, one fewer than the abscissae."""
+        return len(self.abscissae) - 1
 
     def __call__(self, x) -> np.ndarray:
         return dense_eval(self, x)
@@ -224,14 +226,11 @@ def _integrate(problem: OdeProblem, ctrl: StepControl, order: int, attempt) -> T
     the initial point it raises NumericError; in an attempt or in
     ``accept``, before anything is committed, the step fails outright.
     """
-    x, y = problem.x0, problem.alpha.copy()
+    x, y, f = problem.x0, problem.alpha.copy(), initial_rhs(problem)
     try:
-        f = np.asarray(problem.rhs(x, y), dtype=float)
-        h = _initial_step(problem, f, ctrl, order) if np.isfinite(f).all() else None
-    except OverflowError:
-        h = None
-    if h is None:
-        raise NumericError(f"rhs not finite at the initial point of {problem.name!r}")
+        h = _initial_step(problem, f, ctrl, order)
+    except OverflowError:  # from its rhs call one trial step past x0
+        raise NumericError(f"rhs not finite at the initial point of {problem.name!r}") from None
     span = problem.x_end - problem.x0
     inv_order = 1.0 / order
     # accepted point i in row i of arrays that double when full; step i's r5 in row i of r5s
@@ -277,7 +276,7 @@ def _integrate(problem: OdeProblem, ctrl: StepControl, order: int, attempt) -> T
             r5s[n_steps - 1] = r5
         h *= _grow_factor(err, inv_order)
     n = n_steps + 1
-    return Trajectory(xs[:n].copy(), ys[:n].copy(), fs[:n].copy(), n_steps, n_rejected,
+    return Trajectory(xs[:n].copy(), ys[:n].copy(), fs[:n].copy(), n_rejected,
                       extension=None if r5s is None else r5s[:n_steps].copy())
 
 

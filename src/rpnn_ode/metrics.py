@@ -178,13 +178,16 @@ def run_benchmark(
     when the problem has one (Prothero-Robinson), else an sdirk trajectory at
     REFERENCE_TOL.  rpnn runs with the default :class:`SolverConfig` at `tol`
     and `seed`.  A failing cell is recorded with status "error" and does not
-    abort the suite.
+    abort the suite.  A bad `tol`, `seed`, `repeats` or method raises
+    ValueError before any reference is built.
     """
     if repeats < 1:
         raise ValueError(f"need repeats >= 1, got {repeats}")
     unknown = set(methods) - set(METHODS)
     if unknown:
         raise ValueError(f"unknown methods: {sorted(unknown)}")
+    SolverConfig(tol=tol, seed=seed)  # the cells' own checks of tol and seed
+    StepControl(tol, tol)
     reports = []
     for problem in problems:
         grid = metric_grid(problem, grid_size)

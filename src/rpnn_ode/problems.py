@@ -18,6 +18,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .errors import NumericError
+
 RhsFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 JacFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
@@ -60,6 +62,18 @@ class OdeProblem:
         if alpha.shape != (self.m,):
             raise ValueError(f"alpha must have shape ({self.m},), got {alpha.shape}")
         object.__setattr__(self, "alpha", alpha)
+
+
+def initial_rhs(problem: OdeProblem) -> np.ndarray:
+    """The start-up check of every solver: f(x0, alpha) as a float array, or
+    NumericError when it is not finite, an OverflowError from the rhs included."""
+    try:
+        f = np.asarray(problem.rhs(problem.x0, problem.alpha), dtype=float)
+        if np.isfinite(f).all():
+            return f
+    except OverflowError:
+        pass
+    raise NumericError(f"rhs not finite at the initial point of {problem.name!r}")
 
 
 def _components(y):

@@ -1,14 +1,18 @@
 """Gauss-Newton weight training and the adaptive interval driver.
 
 A solve starts by attempting the whole domain as a single segment.  Each
-attempt samples a fresh random basis, collocates the residual on n interior
-points and runs at most ``maxiter`` Gauss-Newton iterations, each stepping by
-the minimum-norm truncated-pseudoinverse solution of the linearized system.
-If the residual 2-norm does not reach ``tol`` the interval width is halved
-and the attempt repeats from the same starting abscissa; on success the next
-interval starts where this one stopped, with twice the width (clamped to the
-remaining domain).  Chaining each segment's start state to the previous
-segment's end value makes the piecewise solution continuous by construction.
+attempt (:func:`_attempt`) samples a fresh random basis, collocates the
+residual on n interior points and runs at most ``maxiter`` Gauss-Newton
+iterations from zero weights, each stepping by the minimum-norm
+truncated-pseudoinverse solution of the linearized system.  The width rule
+in :func:`solve_adaptive` then halves the interval width when the residual
+2-norm does not reach ``tol``, and the attempt repeats from the same starting
+abscissa; on success the next interval starts where this one stopped, with
+twice the width (clamped to the remaining domain).  Chaining each segment's
+start state to the previous segment's end value makes the piecewise solution
+continuous by construction.  A midpoint residual check before acceptance and
+start weights other than zero belong in ``_attempt``, a per-attempt trace
+around its call, and another width policy in place of the width rule.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from .basis import SeededRng, sample_basis
 from .collocation import CollocationGrid, assemble_jacobian, assemble_residual, make_grid
 from .errors import NumericError, StepUnderflowError
 from .leastnorm import truncated_pinv_solve
-from .problems import OdeProblem
+from .problems import OdeProblem, initial_rhs
 from .trial import SegmentSolution, _evaluation_points, _knot_walk, trial_eval
 
 _MIN_WIDTH_FACTOR = 2.0**-30  # width floor, relative to the whole domain
@@ -35,7 +39,7 @@ class SolverConfig:
 
     h hidden nodes per component, n collocation points per segment, residual
     tolerance tol, Gauss-Newton iteration cap maxiter and the basis seed.  h,
-    n and maxiter must be integers (Python or numpy; stored as int).  The
+    n, maxiter and seed must be integers (Python or numpy; stored as int).  The
     method relies on the underdetermined regime h > n; smaller h is allowed
     but warns.
     """
@@ -47,7 +51,7 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("h", "n", "maxiter"):
+        for name in ("h", "n", "maxiter", "seed"):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -181,61 +185,48 @@ class PiecewiseSolution:
         return eval_solution(self, x)
 
 
+def _attempt(problem: OdeProblem, config: SolverConfig, rng: SeededRng, x_start: float,
+             width: float, x_stop: float, alpha: np.ndarray) -> tuple[SegmentSolution, TrainResult]:
+    """One attempt at [x_start, x_stop]: a fresh random basis, zero start weights
+    and Gauss-Newton on the n-point collocation grid."""
+    seg = SegmentSolution(basis=sample_basis(x_start, width, config.h, problem.m, rng),
+                          alpha=alpha, weights=np.zeros((config.h, problem.m)), x_stop=x_stop)
+    grid = make_grid(x_start, width, config.n)
+    return seg, gauss_newton_train(problem, seg, grid, config.tol, config.maxiter)
+
+
 def solve_adaptive(problem: OdeProblem, config: SolverConfig) -> PiecewiseSolution:
     """Solve the IVP by adaptive segment training; deterministic in config.seed.
 
-    Raises NumericError when f(x0, alpha) is not finite, an OverflowError
-    from the rhs included, as the classical integrators do: no width could
-    train from there.  Raises StepUnderflowError when repeated halving pushes
-    the interval width below ``_MIN_WIDTH_FACTOR`` * (x_end - x0), with
-    ``_MIN_WIDTH_FACTOR`` = 2^-30.
+    Raises NumericError when f(x0, alpha) is not finite (``initial_rhs``), as
+    the classical integrators do: no width could train from there.  Raises
+    StepUnderflowError when repeated halving pushes the interval width below
+    ``_MIN_WIDTH_FACTOR`` * (x_end - x0), with ``_MIN_WIDTH_FACTOR`` = 2^-30.
     """
-    try:
-        finite = np.isfinite(np.asarray(problem.rhs(problem.x0, problem.alpha), dtype=float)).all()
-    except OverflowError:
-        finite = False
-    if not finite:
-        raise NumericError(f"rhs not finite at the initial point of {problem.name!r}")
+    initial_rhs(problem)
     rng = SeededRng(config.seed)
     span = problem.x_end - problem.x0
     floor = _MIN_WIDTH_FACTOR * span
-    x_star = problem.x0
-    alpha = problem.alpha.copy()
-    width = span
+    x_star, alpha, width = problem.x0, problem.alpha.copy(), span
     segments: list[SegmentSolution] = []
     iterations: list[int] = []
-    last_err = np.inf
     while x_star < problem.x_end:
         remaining = problem.x_end - x_star
-        if width >= remaining:
-            width, x_stop = remaining, problem.x_end  # tile the domain exactly
-        else:
-            x_stop = x_star + width
-        basis = sample_basis(x_star, width, config.h, problem.m, rng)
-        seg = SegmentSolution(
-            basis=basis,
-            alpha=alpha,
-            weights=np.zeros((config.h, problem.m)),
-            x_stop=x_stop,
-        )
-        grid = make_grid(x_star, width, config.n)
-        result = gauss_newton_train(problem, seg, grid, config.tol, config.maxiter)
+        width = min(width, remaining)
+        x_stop = problem.x_end if width == remaining else x_star + width  # tile the domain exactly
+        seg, result = _attempt(problem, config, rng, x_star, width, x_stop, alpha)
         if result.converged:
             segments.append(seg)
             iterations.append(result.iterations)
-            alpha = trial_eval(seg, x_stop)
-            x_star = x_stop
+            alpha, x_star = trial_eval(seg, x_stop), x_stop
             width *= 2.0
-        else:
-            last_err = result.final_residual_norm
-            width *= 0.5
-            if width < floor:
-                raise StepUnderflowError(
-                    f"adaptive step underflow at x={x_star!r}: width {width!r} fell below "
-                    f"floor {floor!r} (last residual norm {last_err!r})",
-                    abscissa=x_star,
-                    last_error=last_err,
-                )
+            continue
+        width *= 0.5
+        if width < floor:
+            err = result.final_residual_norm
+            raise StepUnderflowError(
+                f"adaptive step underflow at x={x_star!r}: width {width!r} fell below "
+                f"floor {floor!r} (last residual norm {err!r})", abscissa=x_star, last_error=err)
     return PiecewiseSolution(
         problem_name=problem.name,
         m=problem.m,

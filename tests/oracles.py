@@ -8,9 +8,10 @@ collocation system, checked rhs/Jacobian evaluation at one point, the
 pointwise definitions of the four benchmark problems, residual/Jacobian
 assembly with one rhs/Jacobian call per collocation point, dense output
 of a classical trajectory in one pass over the whole array of points, the
-cubic Hermite interpolant in its basis-function form, and the sdirk stage
+cubic Hermite interpolant in its basis-function form, the sdirk stage
 solve that tests the finiteness of f and of the Newton correction on every
-iteration.
+iteration, and the paper's adaptive driver written out from the public
+pieces of one training attempt.
 """
 
 import dataclasses
@@ -18,7 +19,18 @@ import math
 
 import numpy as np
 
-from rpnn_ode import NumericError, OdeProblem, make_benchmark
+from rpnn_ode import (
+    NumericError,
+    OdeProblem,
+    PiecewiseSolution,
+    SeededRng,
+    SegmentSolution,
+    gauss_newton_train,
+    make_benchmark,
+    make_grid,
+    sample_basis,
+    trial_eval,
+)
 from rpnn_ode.integrators import _MAX_NEWTON, _SD_GAMMA
 
 
@@ -316,3 +328,35 @@ def sdirk_stage_checking_every_pass(problem, inv, x_stage, beta, y_guess, h, sca
             return y_stage, False
         prev = err
     return y_stage, False
+
+
+def paper_driver(problem, config) -> PiecewiseSolution:
+    """The paper's adaptive loop: attempt the whole domain, halve the width
+    after a failed attempt, double it after an accepted one, and clamp it to
+    the remaining domain with the last segment ending at x_end exactly.
+    Every attempt draws a fresh basis and starts Gauss-Newton from zero
+    weights.  It omits the start-up check and the width floor."""
+    rng = SeededRng(config.seed)
+    x_start, alpha, width = problem.x0, problem.alpha.copy(), problem.x_end - problem.x0
+    segments, iterations = [], []
+    while x_start < problem.x_end:
+        remaining = problem.x_end - x_start
+        if width >= remaining:
+            width, x_stop = remaining, problem.x_end
+        else:
+            x_stop = x_start + width
+        basis = sample_basis(x_start, width, config.h, problem.m, rng)
+        seg = SegmentSolution(basis=basis, alpha=alpha,
+                              weights=np.zeros((config.h, problem.m)), x_stop=x_stop)
+        grid = make_grid(x_start, width, config.n)
+        result = gauss_newton_train(problem, seg, grid, config.tol, config.maxiter)
+        if result.converged:
+            segments.append(seg)
+            iterations.append(result.iterations)
+            alpha, x_start = trial_eval(seg, x_stop), x_stop
+            width *= 2.0
+        else:
+            width *= 0.5
+    return PiecewiseSolution(problem_name=problem.name, m=problem.m, x0=problem.x0,
+                             x_end=problem.x_end, segments=tuple(segments),
+                             iterations=tuple(iterations), total_points=config.n * len(segments))

@@ -225,6 +225,16 @@ def test_benchmark_empty_or_unknown_suite(tmp_path):
     assert main(["benchmark", "--suite", "lorenz", "--out", str(tmp_path / "s.csv")]) == 1
 
 
+@pytest.mark.parametrize("tol", [["--tol", "0"], ["--tol=-1"], ["--tol", "nan"]])
+def test_benchmark_rejects_a_bad_tol_as_a_usage_error_before_any_solve(tmp_path, capsys, tol):
+    out = tmp_path / "summary.csv"
+    code = main(["benchmark", "--suite", "pr", *tol, "--out", str(out),
+                 "--report-dir", str(tmp_path / "reports")])
+    assert code == 1
+    assert "tolerance must be positive and finite" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "reports").exists()
+
+
 def test_benchmark_rober_collocation_beats_explicit(tmp_path):
     out = tmp_path / "summary.csv"
     code = main(["benchmark", "--suite", "rober", "--tol", "1e-6", "--seed", "0",

@@ -177,7 +177,7 @@ def sdirk_solve_every_iteration(problem, ctrl):
     span = problem.x_end - problem.x0
     h = _initial_step(problem, f, ctrl, order=4)
     xs, ys, fs = [x], [y.copy()], [f.copy()]
-    n_steps = n_rejected = 0
+    n_rejected = 0
     k = np.empty((5, problem.m))
     while x < problem.x_end:
         _check_underflow(h, x, span, None, ys, y)
@@ -206,12 +206,11 @@ def sdirk_solve_every_iteration(problem, ctrl):
             xs.append(x)
             ys.append(y.copy())
             fs.append(f.copy())
-            n_steps += 1
             h *= _grow_factor(err, 0.25)
         else:
             n_rejected += 1
             h *= _MIN_FACTOR if not ok else min(1.0, _grow_factor(err, 0.25))
-    return Trajectory(np.array(xs), np.array(ys), np.array(fs), n_steps, n_rejected)
+    return Trajectory(np.array(xs), np.array(ys), np.array(fs), n_rejected)
 
 
 @pytest.mark.parametrize("name,params", [("hires", {}), ("rober", {}), ("van_der_pol", {"mu": 1.0})])
@@ -346,16 +345,15 @@ def test_trajectory_rejects_too_few_or_non_finite_points():
     assert Trajectory(**fields).n_steps == traj.n_steps
     for n in (0, 1):
         with pytest.raises(ValueError, match="at least 2"):
-            Trajectory(traj.abscissae[:n], traj.states[:n], traj.derivatives[:n], 0, 0)
+            Trajectory(traj.abscissae[:n], traj.states[:n], traj.derivatives[:n], 0)
     n, m = traj.states.shape
     inconsistent = [("states", traj.states[:, :1]), ("states", traj.states[:-1]),
                     ("states", traj.states.ravel()), ("derivatives", traj.derivatives[:, :1]),
                     ("derivatives", traj.derivatives[1:]), ("abscissae", traj.abscissae[:, None]),
                     ("extension", traj.extension[:, None, :]), ("extension", traj.extension[1:]),
-                    ("extension", np.zeros((n - 1, 4, m))), ("extension", np.zeros((n - 1, 1))),
-                    ("n_steps", n), ("n_steps", 7), ("n_steps", n - 2)]
+                    ("extension", np.zeros((n - 1, 4, m))), ("extension", np.zeros((n - 1, 1)))]
     for name, value in inconsistent:
-        with pytest.raises(ValueError, match="shape|n_steps"):
+        with pytest.raises(ValueError, match="shape"):
             Trajectory(**{**fields, name: value})
     assert Trajectory(**{**fields, "extension": None}).extension is None
     for name in ("abscissae", "states", "derivatives", "extension"):
@@ -465,7 +463,7 @@ def test_theta_rounded_to_one_left_of_a_knot_takes_the_knot_state():
     # (1 - 2^-53) - (-1) rounds to 2 = 1 - (-1), so theta is 1.0 inside step 0
     rng = np.random.default_rng(0)
     traj = Trajectory(np.array([-1.0, 1.0, 2.0]), rng.normal(size=(3, 2)),
-                      rng.normal(size=(3, 2)), 2, 0)
+                      rng.normal(size=(3, 2)), 0)
     x = np.array([1.0 - 2.0**-53, 0.5, 2.0, 1.0 - 2.0**-53])
     assert np.array_equal(dense_eval(traj, x)[[0, 2, 3]], traj.states[[1, 2, 1]])
     assert_bitwise_the_oracle(traj, x)

@@ -1,8 +1,10 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
+import rpnn_ode.metrics as metrics_module
 from rpnn_ode import (
     SolverConfig,
     dense_eval,
@@ -135,6 +137,17 @@ def test_run_benchmark_validation():
         run_benchmark([make_benchmark("pr")], tol=1e-3, repeats=0)
     with pytest.raises(ValueError):
         run_benchmark([make_benchmark("pr")], tol=1e-3, methods=("rpnn", "euler"))
+
+
+@pytest.mark.parametrize("tol,seed", [(0.0, 0), (-1.0, 0), (math.inf, 0), (math.nan, 0),
+                                      (1e-3, 1.5), (1e-3, None)])
+def test_run_benchmark_rejects_a_bad_tol_or_seed_before_any_solve(monkeypatch, tol, seed):
+    def no_reference(problem):
+        raise AssertionError("a reference was built")
+
+    monkeypatch.setattr(metrics_module, "reference_solution", no_reference)
+    with pytest.raises(ValueError, match="tolerance|seed"):
+        run_benchmark([make_benchmark("rober")], tol=tol, seed=seed, methods=("dp45",))
 
 
 def test_solve_cell_rejects_an_unknown_method():

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import broadcast_eval
+from oracles import broadcast_eval, paper_driver
 from rpnn_ode import (
     OdeProblem,
     PiecewiseSolution,
@@ -57,6 +57,15 @@ def test_config_validation():
     assert all(type(v) is int for v in (config.h, config.n, config.maxiter))
     with pytest.warns(UserWarning):
         SolverConfig(h=10, n=20)
+
+
+def test_config_rejects_a_seed_that_is_not_an_integer():
+    # 1.5 used to solve bit for bit as seed 1; None and NaN failed only in the solve
+    for value in (1.5, 1.0, math.nan, None, "1", np.float64(2.0)):
+        with pytest.raises(ValueError, match="seed"):
+            SolverConfig(seed=value)
+    config = SolverConfig(seed=np.int64(7))
+    assert config.seed == 7 and type(config.seed) is int
 
 
 def test_gauss_newton_solves_scalar_decay():
@@ -290,6 +299,26 @@ def test_no_step_underflow_on_benchmarks(name, params, tol):
     problem = make_benchmark(name, **params)
     sol = solve_adaptive(problem, SolverConfig(tol=tol, seed=0))
     assert sol.segments[-1].x_stop == problem.x_end
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("name,params", [
+    ("prothero_robinson", {"lam": -1e5}),
+    ("van_der_pol", {"mu": 10.0}),
+    ("rober", {}),
+    ("hires", {}),
+])
+def test_solve_adaptive_is_bitwise_the_paper_driver(name, params, seed):
+    problem = make_benchmark(name, **params)
+    config = SolverConfig(tol=1e-3, seed=seed)
+    sol, oracle = solve_adaptive(problem, config), paper_driver(problem, config)
+    assert np.array_equal(sol.knots, oracle.knots)
+    assert sol.iterations == oracle.iterations and sol.total_points == oracle.total_points
+    for seg, ref in zip(sol.segments, oracle.segments):
+        for a, b in ((seg.weights, ref.weights), (seg.alpha, ref.alpha),
+                     (seg.basis.centers, ref.basis.centers), (seg.basis.biases, ref.basis.biases),
+                     (seg.basis.inv_sq_widths, ref.basis.inv_sq_widths)):
+            assert a.tobytes() == b.tobytes()
 
 
 def test_rober_conservation():
