@@ -152,25 +152,23 @@ def _cmd_benchmark(args) -> int:
 
 
 def _write_summary_csv(path, reports: list[RunReport]) -> None:
-    max_m = max((len(r.metrics.l2) for r in reports if r.metrics is not None), default=0)
+    """One row per report, read from its JSON form; metric cells are blank where it has none."""
+    rows = [report_to_dict(r) for r in reports]
+    components = [d["metrics"]["per_component"] if d["metrics"] else [] for d in rows]
+    max_m = max(map(len, components), default=0)
     header = ["problem", "params", "method", "tol", "seed", "status",
               "n_points", "n_segments", "time_median", "time_min", "time_max"]
-    for i in range(max_m):
-        header += [f"l2_y{i + 1}", f"linf_y{i + 1}", f"mae_y{i + 1}"]
+    header += [f"{norm}_y{i + 1}" for i in range(max_m) for norm in ("l2", "linf", "mae")]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for r in reports:
-            params = ";".join(f"{k}={v:g}" for k, v in sorted(r.params.items()))
-            row = [r.problem, params, r.method, _fmt(r.tol), r.seed, r.status,
-                   r.n_points, r.n_segments,
-                   _fmt(r.times.median), _fmt(r.times.min), _fmt(r.times.max)]
-            for i in range(max_m):
-                if r.metrics is not None and i < len(r.metrics.l2):
-                    row += [_fmt(r.metrics.l2[i]), _fmt(r.metrics.linf[i]), _fmt(r.metrics.mae[i])]
-                else:
-                    row += ["", "", ""]
-            writer.writerow(row)
+        for d, comps in zip(rows, components):
+            params = ";".join(f"{k}={v:g}" for k, v in sorted(d["params"].items()))
+            cells = [_fmt(value) for c in comps for value in c.values()]  # l2, linf, mae
+            writer.writerow([d["problem"], params, d["method"], _fmt(d["tol"]), d["seed"],
+                             d["status"], d["n_points"], d["n_segments"],
+                             *(_fmt(d["times"][k]) for k in ("median", "min", "max")),
+                             *cells, *[""] * (3 * max_m - len(cells))])
 
 
 def _cmd_eval(args) -> int:

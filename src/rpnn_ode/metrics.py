@@ -9,13 +9,15 @@ trajectories both satisfy this through their __call__.
 Each concern has one function: :func:`_solve_cell` dispatches a solve by
 method, :func:`_timed` times repeated runs, :func:`error_metrics` computes the
 error norms and :func:`reference_solution` chooses the reference.  The suite
-and the CLI's ``solve`` build each cell's report through :func:`run_cell`.
+and the CLI's ``solve`` build each cell's report through :func:`run_cell`.  A
+report's JSON form (:func:`report_to_dict`) is the :class:`RunReport` fields
+plus ``schema_version``; the CLI's summary CSV rows are read from that form.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -79,8 +81,9 @@ class RunReport:
     def failed(cls, problem: OdeProblem, method: str, tol: float, seed: int,
                detail: str) -> RunReport:
         """Report of a cell whose reference or solve raised: no metrics, no runs."""
-        return cls(problem.name, dict(problem.params), method, tol, seed, None, 0, 0,
-                   TimingSummary(0.0, 0.0, 0.0, 0), "error", detail)
+        return cls(problem=problem.name, params=dict(problem.params), method=method, tol=tol,
+                   seed=seed, metrics=None, n_points=0, n_segments=0,
+                   times=TimingSummary(0.0, 0.0, 0.0, 0), status="error", detail=detail)
 
 
 def error_metrics(candidate: Evaluable, reference: Evaluable, grid: np.ndarray) -> ErrorMetrics:
@@ -159,8 +162,9 @@ def run_cell(problem: OdeProblem, method: str, tol: float, seed: int, repeats: i
         lambda: _solve_cell(problem, method, tol, seed), repeats
     )
     metrics = None if reference is None else error_metrics(evaluable, reference, grid)
-    return evaluable, RunReport(problem.name, dict(problem.params), method, tol, seed,
-                                metrics, n_points, n_segments, times)
+    return evaluable, RunReport(problem=problem.name, params=dict(problem.params), method=method,
+                                tol=tol, seed=seed, metrics=metrics, n_points=n_points,
+                                n_segments=n_segments, times=times)
 
 
 def run_benchmark(
@@ -206,32 +210,14 @@ def run_benchmark(
 
 
 def report_to_dict(report: RunReport) -> dict:
-    """JSON-ready form of a report (schema_version 1)."""
-    metrics = None
-    if report.metrics is not None:
-        metrics = {
-            "per_component": [
-                {"l2": float(l2), "linf": float(linf), "mae": float(mae)}
-                for l2, linf, mae in zip(report.metrics.l2, report.metrics.linf, report.metrics.mae)
-            ],
-            "grid_size": report.metrics.grid_size,
-        }
-    return {
-        "schema_version": 1,
-        "problem": report.problem,
-        "params": {k: float(v) for k, v in report.params.items()},
-        "method": report.method,
-        "tol": report.tol,
-        "seed": report.seed,
-        "metrics": metrics,
-        "n_points": report.n_points,
-        "n_segments": report.n_segments,
-        "times": {
-            "median": report.times.median,
-            "min": report.times.min,
-            "max": report.times.max,
-            "repeats": report.times.repeats,
-        },
-        "status": report.status,
-        "detail": report.detail,
+    """JSON-ready form of a report: ``schema_version`` 1, then the dataclass's
+    fields in order, with params as floats and metrics as per-component norms
+    plus the grid size."""
+    m = report.metrics
+    metrics = None if m is None else {
+        "per_component": [{"l2": float(l2), "linf": float(linf), "mae": float(mae)}
+                          for l2, linf, mae in zip(m.l2, m.linf, m.mae)],
+        "grid_size": m.grid_size,
     }
+    return {"schema_version": 1, **asdict(report),
+            "params": {k: float(v) for k, v in report.params.items()}, "metrics": metrics}

@@ -33,7 +33,7 @@ from .trial import SegmentSolution, _evaluation_points, _knot_walk, trial_eval
 _MIN_WIDTH_FACTOR = 2.0**-30  # width floor, relative to the whole domain
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
     """Training parameters.
 
@@ -41,7 +41,8 @@ class SolverConfig:
     tolerance tol, Gauss-Newton iteration cap maxiter and the basis seed.  h,
     n, maxiter and seed must be integers (Python or numpy; stored as int).  The
     method relies on the underdetermined regime h > n; smaller h is allowed
-    but warns.
+    but warns.  Frozen, so the checks hold for the config's life; derive a
+    variant with ``dataclasses.replace``, which checks it again.
     """
 
     h: int = 40
@@ -55,7 +56,7 @@ class SolverConfig:
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-            setattr(self, name, int(value))
+            object.__setattr__(self, name, int(value))
         if self.h < 2:
             raise ValueError(f"need h >= 2 hidden nodes, got {self.h}")
         if self.n < 1:
@@ -104,7 +105,10 @@ def gauss_newton_train(
 
     Returns without raising on non-finite residuals or Jacobians; these count
     as non-convergence so the adaptive driver can respond by halving the
-    interval instead of aborting.
+    interval instead of aborting.  The exception is the refinement step of an
+    iterate that already meets tol: when that step's Jacobian or solve cannot
+    be computed, the iterate is kept and reported converged, with its residual
+    and the steps taken before it.
     """
     h, m = seg.basis.h, seg.basis.m
     try:
@@ -123,7 +127,7 @@ def gauss_newton_train(
             jac = assemble_jacobian(problem, seg, grid)
             step = -truncated_pinv_solve(jac, resid)
         except NumericError:
-            return TrainResult(False, err, iteration - 1)
+            return TrainResult(err <= tol, err, iteration - 1)
         delta = step.reshape(m, h).T
         seg.weights += delta
         try:

@@ -220,6 +220,32 @@ def test_benchmark_small_suite(tmp_path):
     assert sample["schema_version"] == 1
 
 
+def test_every_summary_row_is_its_cells_json_report(tmp_path):
+    # lambda -1e3 keeps PR's dp45 cell to about 1,900 steps
+    out, report_dir = tmp_path / "summary.csv", tmp_path / "reports"
+    assert main(["benchmark", "--suite", "pr,rober", "--tol", "1e-3", "--lambda", "-1e3",
+                 "--grid-size", "200", "--out", str(out), "--report-dir", str(report_dir)]) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 6 == len(list(report_dir.glob("*.json")))
+    assert [r["status"] for r in rows] == ["ok"] * 4 + ["error", "ok"]
+    for row in rows:
+        d = json.loads((report_dir / f"report_{row['problem']}_{row['method']}_0.001.json")
+                       .read_text())
+        assert all(row[key] == d[key] for key in ("problem", "method", "status"))
+        assert row["params"] == ";".join(f"{k}={v:g}" for k, v in sorted(d["params"].items()))
+        assert (float(row["tol"]), int(row["seed"])) == (d["tol"], d["seed"])
+        assert (int(row["n_points"]), int(row["n_segments"])) == (d["n_points"], d["n_segments"])
+        for key in ("median", "min", "max"):
+            assert float(row[f"time_{key}"]) == d["times"][key]
+        # ROBER's three components set the width; PR fills y1 only, an error row none
+        components = d["metrics"]["per_component"] if d["metrics"] else []
+        values = [c[norm] for c in components for norm in ("l2", "linf", "mae")]
+        cells = [row[f"{norm}_y{i + 1}"] for i in range(3) for norm in ("l2", "linf", "mae")]
+        assert [float(cell) for cell in cells[:len(values)]] == values
+        assert cells[len(values):] == [""] * (9 - len(values))
+
+
 def test_benchmark_empty_or_unknown_suite(tmp_path):
     assert main(["benchmark", "--suite", "", "--out", str(tmp_path / "s.csv")]) == 1
     assert main(["benchmark", "--suite", "lorenz", "--out", str(tmp_path / "s.csv")]) == 1

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -14,7 +15,15 @@ from rpnn_ode import (
     run_benchmark,
     solve_adaptive,
 )
-from rpnn_ode.metrics import _solve_cell, _timed, default_grid_size, report_to_dict
+from rpnn_ode.metrics import (
+    ErrorMetrics,
+    RunReport,
+    TimingSummary,
+    _solve_cell,
+    _timed,
+    default_grid_size,
+    report_to_dict,
+)
 
 
 def as_eval(fn):
@@ -185,3 +194,39 @@ def test_report_to_dict_schema():
     assert set(d["metrics"]) == {"per_component", "grid_size"}
     assert set(d["metrics"]["per_component"][0]) == {"l2", "linf", "mae"}
     assert {"tol", "seed", "n_points", "n_segments", "status", "detail"} <= set(d)
+
+
+REPORT = RunReport(problem="rober", params={"k1": 0.04}, method="rpnn", tol=1e-3, seed=2,
+                   metrics=ErrorMetrics(l2=[1.0, 2.0], linf=[3.0, 4.0], mae=[5.0, 6.0],
+                                        grid_size=9),
+                   n_points=40, n_segments=2, times=TimingSummary(0.5, 0.25, 1.0, 3))
+
+
+def test_report_to_dict_key_order_is_the_dataclass_field_order():
+    d = report_to_dict(REPORT)
+    assert list(d) == ["schema_version", "problem", "params", "method", "tol", "seed", "metrics",
+                       "n_points", "n_segments", "times", "status", "detail"]
+    assert list(d) == ["schema_version"] + [f.name for f in dataclasses.fields(RunReport)]
+    assert list(d["metrics"]) == ["per_component", "grid_size"]
+    assert [list(c) for c in d["metrics"]["per_component"]] == [["l2", "linf", "mae"]] * 2
+    assert list(d["times"]) == ["median", "min", "max", "repeats"]
+    assert json.loads(json.dumps(d)) == {
+        "schema_version": 1, "problem": "rober", "params": {"k1": 0.04}, "method": "rpnn",
+        "tol": 1e-3, "seed": 2,
+        "metrics": {"per_component": [{"l2": 1.0, "linf": 3.0, "mae": 5.0},
+                                      {"l2": 2.0, "linf": 4.0, "mae": 6.0}], "grid_size": 9},
+        "n_points": 40, "n_segments": 2,
+        "times": {"median": 0.5, "min": 0.25, "max": 1.0, "repeats": 3},
+        "status": "ok", "detail": "",
+    }
+
+
+def test_a_report_field_added_in_a_subclass_reaches_the_json_form():
+    @dataclasses.dataclass(frozen=True)
+    class AttemptsReport(RunReport):
+        attempts: int = 0
+
+    d = report_to_dict(AttemptsReport(**vars(REPORT), attempts=7))
+    assert list(d)[-1] == "attempts" and d["attempts"] == 7
+    assert {k: v for k, v in d.items() if k != "attempts"} == report_to_dict(REPORT)
+    json.dumps(d)
