@@ -1,10 +1,10 @@
 """Random-projection RBF collocation solver for stiff ODE initial-value problems."""
 
 from .basis import RbfSegmentBasis, SeededRng, sample_basis
-from .collocation import CollocationGrid, assemble_jacobian, assemble_residual, make_grid
+from .collocation import assemble_jacobian, assemble_residual, make_grid
 from .errors import NumericError, StepUnderflowError
 from .integrators import StepControl, Trajectory, dense_eval, dp45_solve, sdirk_solve
-from .leastnorm import effective_rank, truncated_pinv_solve
+from .leastnorm import truncated_pinv_solve
 from .metrics import (
     ErrorMetrics,
     RunReport,
@@ -30,7 +30,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BENCHMARK_NAMES",
-    "CollocationGrid",
     "ErrorMetrics",
     "NumericError",
     "OdeProblem",
@@ -51,7 +50,6 @@ __all__ = [
     "canonical_name",
     "dense_eval",
     "dp45_solve",
-    "effective_rank",
     "error_metrics",
     "eval_solution",
     "gauss_newton_train",

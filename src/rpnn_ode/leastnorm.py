@@ -173,8 +173,3 @@ def truncated_pinv_solve(a: np.ndarray, b: np.ndarray, rcond: float | None = Non
         return np.zeros(a.shape[1])
     return vt[keep].T @ ((u[:, keep].T @ b) / s[keep])
 
-
-def effective_rank(a: np.ndarray, rcond: float | None = None) -> int:
-    """Number of singular values s > rcond * s_max, the rank truncated_pinv_solve keeps."""
-    _, _, _, keep = _truncated_svd(_as_matrix(a), rcond)
-    return int(np.count_nonzero(keep))

@@ -87,11 +87,16 @@ class RunReport:
 
 
 def error_metrics(candidate: Evaluable, reference: Evaluable, grid: np.ndarray) -> ErrorMetrics:
-    """L2, Linf and MAE of candidate minus reference, per component."""
+    """L2, Linf and MAE of candidate minus reference, per component.
+
+    Each side's values on k points are (k, m), or (k,) for m = 1; ValueError otherwise.
+    """
     xs = np.asarray(grid, dtype=float)
-    diff = np.asarray(candidate(xs), dtype=float) - np.asarray(reference(xs), dtype=float)
-    if diff.ndim == 1:
-        diff = diff[:, None]
+    cand, ref = (np.asarray(fn(xs), dtype=float) for fn in (candidate, reference))
+    cand, ref = (v[:, None] if v.ndim == 1 else v for v in (cand, ref))
+    if cand.ndim != 2 or cand.shape != ref.shape or len(cand) != len(xs):
+        raise ValueError(f"values {cand.shape} and {ref.shape} must both be ({len(xs)}, m)")
+    diff = cand - ref
     return ErrorMetrics(
         l2=np.sqrt((diff**2).sum(axis=0)),
         linf=np.abs(diff).max(axis=0),

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import SeededRng, sample_basis
-from .collocation import CollocationGrid, assemble_jacobian, assemble_residual, make_grid
+from .collocation import assemble_jacobian, assemble_residual, make_grid
 from .errors import NumericError, StepUnderflowError
 from .leastnorm import truncated_pinv_solve
 from .problems import OdeProblem, initial_rhs
@@ -83,7 +83,7 @@ class TrainResult:
 def gauss_newton_train(
     problem: OdeProblem,
     seg: SegmentSolution,
-    grid: CollocationGrid,
+    grid: np.ndarray,
     tol: float,
     maxiter: int,
 ) -> TrainResult:

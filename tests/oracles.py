@@ -10,8 +10,9 @@ assembly with one rhs/Jacobian call per collocation point, dense output
 of a classical trajectory in one pass over the whole array of points, the
 cubic Hermite interpolant in its basis-function form, the sdirk stage
 solve that tests the finiteness of f and of the Newton correction on every
-iteration, and the paper's adaptive driver written out from the public
-pieces of one training attempt.
+iteration, the paper's adaptive driver written out from the public
+pieces of one training attempt, and the effective rank that the truncated
+pseudoinverse solve keeps.
 """
 
 import dataclasses
@@ -26,6 +27,7 @@ from rpnn_ode import (
     SeededRng,
     SegmentSolution,
     gauss_newton_train,
+    leastnorm,
     make_benchmark,
     make_grid,
     sample_basis,
@@ -226,9 +228,8 @@ def pointwise_benchmark(name: str, **params) -> OdeProblem:
     return dataclasses.replace(problem, rhs=rhs, ode_jacobian=jac)
 
 
-def assemble_residual_loop(problem, seg, grid) -> np.ndarray:
+def assemble_residual_loop(problem, seg, xs) -> np.ndarray:
     """Residual assembly with one rhs call per collocation point."""
-    xs = grid.points
     n, m = len(xs), problem.m
     g, gx = seg.basis._gaussians_and_dx(xs)
     ramp = (xs - seg.x_start)[:, None]
@@ -244,9 +245,8 @@ def assemble_residual_loop(problem, seg, grid) -> np.ndarray:
     return resid.T.ravel()
 
 
-def assemble_jacobian_loop(problem, seg, grid) -> np.ndarray:
+def assemble_jacobian_loop(problem, seg, xs) -> np.ndarray:
     """Jacobian assembly with one ode_jacobian call per collocation point."""
-    xs = grid.points
     n, m, h = len(xs), problem.m, seg.basis.h
     g, gx = seg.basis._gaussians_and_dx(xs)
     ramp = (xs - seg.x_start)[:, None]
@@ -360,3 +360,13 @@ def paper_driver(problem, config) -> PiecewiseSolution:
     return PiecewiseSolution(problem_name=problem.name, m=problem.m, x0=problem.x0,
                              x_end=problem.x_end, segments=tuple(segments),
                              iterations=tuple(iterations), total_points=config.n * len(segments))
+
+
+def effective_rank(a, rcond=None) -> int:
+    """Number of singular values s > rcond * s_max, the rank truncated_pinv_solve keeps.
+
+    Counts the kept mask of the library's own cutoff (``leastnorm._truncated_svd``),
+    so the rcond rule and the one-BLAS-thread pin under test are the library's.
+    """
+    _, _, _, keep = leastnorm._truncated_svd(leastnorm._as_matrix(a), rcond)
+    return int(np.count_nonzero(keep))

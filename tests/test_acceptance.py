@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from oracles import weight_index
+from oracles import effective_rank, weight_index
 from rpnn_ode import (
     SeededRng,
     SegmentSolution,
@@ -21,7 +21,6 @@ from rpnn_ode import (
     assemble_residual,
     dense_eval,
     dp45_solve,
-    effective_rank,
     eval_solution,
     make_benchmark,
     make_grid,

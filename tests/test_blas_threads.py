@@ -10,10 +10,10 @@ import threading
 import numpy as np
 import pytest
 
+from oracles import effective_rank
 from rpnn_ode import (
     NumericError,
     SolverConfig,
-    effective_rank,
     leastnorm,
     make_benchmark,
     solve_adaptive,

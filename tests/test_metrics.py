@@ -70,6 +70,34 @@ def test_error_metrics_inequalities_on_random_data():
         assert np.all(m.l2 <= m.linf * np.sqrt(n) + 1e-12)
 
 
+def test_error_metrics_promotes_each_side_before_subtracting():
+    # a (k,) candidate against a (k, 1) reference is one component, not k
+    pr = make_benchmark("pr")
+    grid = np.linspace(0.0, 1.0, 5)
+    flat = error_metrics(lambda xs: np.sin(xs), pr.analytic, grid)
+    column = error_metrics(lambda xs: np.sin(xs)[:, None], pr.analytic, grid)
+    diff = np.sin(grid)[:, None] - pr.analytic(grid)
+    expected = (np.sqrt((diff**2).sum(axis=0)), np.abs(diff).max(axis=0), np.abs(diff).mean(axis=0))
+    for m in (flat, column):
+        assert m.grid_size == 5
+        for got, want in zip((m.l2, m.linf, m.mae), expected):
+            assert got.shape == (1,) and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("candidate", [
+    lambda xs: np.zeros((len(xs), 2)),
+    lambda xs: np.zeros((len(xs) - 1, 1)),
+    lambda xs: np.zeros((len(xs), 1, 1)),
+    lambda xs: np.float64(0.0),
+])
+def test_error_metrics_rejects_values_that_are_not_one_row_per_point(candidate):
+    zero = lambda xs: np.zeros((len(xs), 1))  # noqa: E731
+    grid = np.linspace(0.0, 1.0, 5)
+    with pytest.raises(ValueError, match=r"must both be \(5, m\)"):
+        error_metrics(candidate, zero, grid)
+    with pytest.raises(ValueError, match=r"must both be \(5, m\)"):
+        error_metrics(zero, candidate, grid)
+
 def test_default_grid_sizes():
     assert default_grid_size(make_benchmark("pr")) == 3000
     assert default_grid_size(make_benchmark("rober")) == 20000

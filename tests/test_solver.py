@@ -155,6 +155,45 @@ def test_a_converged_iterate_is_kept_when_its_refinement_step_cannot_be_computed
     assert abs(trial_eval(seg, 1.0)[0] - math.exp(-1.0)) <= 1e-6
 
 
+
+def test_an_initial_residual_whose_norm_overflows_is_non_convergence():
+    # every residual entry is finite, but the sum of their squares is not
+    huge = OdeProblem(name="huge", m=1, x0=0.0, x_end=1.0, alpha=np.zeros(1),
+                      rhs=lambda x, y: np.full_like(y, 1e300),
+                      ode_jacobian=lambda x, y: np.zeros((1, 1)))
+    basis = sample_basis(0.0, 1.0, 6, 1, SeededRng(2))
+    seg = SegmentSolution(basis=basis, alpha=np.zeros(1), weights=np.zeros((6, 1)), x_stop=1.0)
+    grid = make_grid(0.0, 1.0, 4)
+    assert np.all(np.isfinite(assemble_residual(huge, seg, grid)))
+    with np.errstate(over="ignore"):
+        result = gauss_newton_train(huge, seg, grid, tol=1e-6, maxiter=4)
+    assert result == TrainResult(False, np.inf, 0)
+    assert np.all(seg.weights == 0.0)
+
+
+@pytest.mark.parametrize("bad_residual", ["raises", "overflowing norm"])
+def test_a_residual_that_fails_after_a_step_is_non_convergence(bad_residual, monkeypatch):
+    # the first residual is fine; the one after the first step raises
+    # NumericError or has finite entries whose norm overflows
+    calls = []
+
+    def second_call_fails(problem, seg, grid):
+        calls.append(1)
+        resid = assemble_residual(problem, seg, grid)
+        if len(calls) == 1:
+            return resid
+        if bad_residual == "raises":
+            raise NumericError("non-finite residual")
+        return np.full_like(resid, 1e300)
+
+    monkeypatch.setattr(solver_module, "assemble_residual", second_call_fails)
+    basis = sample_basis(0.0, 1.0, 40, 1, SeededRng(0))
+    seg = SegmentSolution(basis=basis, alpha=np.array([1.0]), weights=np.zeros((40, 1)), x_stop=1.0)
+    with np.errstate(over="ignore"):
+        result = gauss_newton_train(DECAY, seg, make_grid(0.0, 1.0, 20), tol=1e-8, maxiter=4)
+    assert len(calls) == 2
+    assert result == TrainResult(False, np.inf, 1)
+
 def train_every_iteration(problem, seg, grid, tol, maxiter):
     """Oracle: the Gauss-Newton loop that also takes the last, futile step."""
     h, m = seg.basis.h, seg.basis.m
@@ -458,6 +497,23 @@ def test_piecewise_solution_rejects_one_iteration_count_per_segment_too_few_or_m
     for iterations in ((1,), (0,) * (sol.n_segments + 1)):
         with pytest.raises(ValueError, match="iteration counts"):
             PiecewiseSolution(iterations=iterations, **fields)
+
+
+def test_piecewise_solution_rejects_no_segments_a_wrong_domain_and_a_gap():
+    sol = random_piecewise(10, 2)
+    fields = dict(problem_name="random", m=2, x0=sol.x0, x_end=sol.x_end, segments=sol.segments,
+                  iterations=sol.iterations, total_points=0)
+    with pytest.raises(ValueError, match="at least one segment"):
+        PiecewiseSolution(**{**fields, "segments": (), "iterations": ()})
+    for bounds in ({"x0": sol.x0 - 0.5}, {"x_end": sol.x_end + 0.5}):
+        with pytest.raises(ValueError, match="do not span the stated domain"):
+            PiecewiseSolution(**{**fields, **bounds})
+    first, *rest = sol.segments
+    width = first.x_stop - first.x_start - 0.1  # a gap of 0.1 before the second segment
+    shrunk = SegmentSolution(basis=sample_basis(first.x_start, width, 12, 2, SeededRng(0)),
+                             alpha=first.alpha, weights=first.weights, x_stop=first.x_start + width)
+    with pytest.raises(ValueError, match="not contiguous"):
+        PiecewiseSolution(**{**fields, "segments": (shrunk, *rest)})
 
 
 @pytest.fixture(scope="module")

@@ -7,7 +7,6 @@ import rpnn_ode.trial as trial_module
 from conftest import fd_scalar
 from oracles import broadcast_dx, broadcast_eval, gaussians, trial_dw, trial_dxdw
 from rpnn_ode import (
-    CollocationGrid,
     OdeProblem,
     RbfSegmentBasis,
     SeededRng,
@@ -29,13 +28,13 @@ def random_segment(seed, h=8, m=2, x_start=0.5, width=1.0, weight_scale=1.0):
 def dpsi_dx(seg, x):
     """dpsi/dx as residual assembly computes it: the residual of y' = 0.
 
-    Same shape conventions as :func:`trial_eval`; x must be increasing.
+    Same shape conventions as :func:`trial_eval`.
     """
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     m = seg.basis.m
     zero = OdeProblem(name="zero", m=m, x0=seg.x_start, x_end=seg.x_stop, alpha=np.zeros(m),
                       rhs=lambda x, y: np.zeros(m), ode_jacobian=lambda x, y: np.zeros((m, m)))
-    out = assemble_residual(zero, seg, CollocationGrid(xs)).reshape(m, len(xs)).T
+    out = assemble_residual(zero, seg, xs).reshape(m, len(xs)).T
     return out[0] if np.ndim(x) == 0 else out
 
 
