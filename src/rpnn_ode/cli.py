@@ -4,7 +4,7 @@
 timing and report come from :func:`rpnn_ode.metrics.run_cell`, and the problem
 names and aliases from :func:`rpnn_ode.problems.canonical_name`.  Exit codes: 0
 success, 1 usage/argument error, 2 solver failure, 3 I/O failure.  The seed
-falls back to the RPNN_SEED environment variable when --seed is not given.
+of solve and benchmark falls back to $RPNN_SEED when --seed is not given.
 """
 
 from __future__ import annotations
@@ -262,7 +262,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors; remap
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
-    if getattr(args, "seed", None) is None:
+    if hasattr(args, "seed") and args.seed is None:  # eval has no --seed
         try:
             args.seed = _default_seed()
         except ValueError:

@@ -46,14 +46,14 @@ trajectories carry r5 = h * sum(d_i k_i), the pair's order-4 continuous
 extension.  Like the MATLAB suite's dense output, which works one step's
 interpolant at a time, :func:`dense_eval` walks the sorted points over the
 abscissae once: one search of the abscissae into the points gives every
-step's run of points, the knot walk that ``solver.eval_solution`` uses, and
-cache-sized blocks repeat each step's terms over its run, bit for bit one pass.
+step's run of points, the knot walk of ``solver.eval_solution``, and each
+cache-sized block forms its steps' terms and repeats them over their runs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -122,7 +122,7 @@ class Trajectory:
 
     ``extension``, when present, holds each step's quartic dense-output term
     r5, shape (n_steps, m); without it r5 = 0 and the dense output is cubic
-    Hermite.  Every step's terms r2..r5 (module docstring) are built here, once.
+    Hermite.  Float fields are not copied; :func:`dense_eval` forms r2..r4 per block.
     """
 
     abscissae: np.ndarray
@@ -130,7 +130,6 @@ class Trajectory:
     derivatives: np.ndarray
     n_rejected: int
     extension: np.ndarray | None = None
-    _terms: np.ndarray = field(init=False, repr=False, compare=False)  # (4, n_steps, m)
 
     def __post_init__(self):
         for name in ("abscissae", "states", "derivatives", "extension"):
@@ -148,15 +147,8 @@ class Trajectory:
         arrays = (t, y, f, self.extension)
         if not all(a is None or np.isfinite(a).all() for a in arrays):
             raise ValueError("trajectory abscissae, states, derivatives and extension must be finite")
-        h = np.diff(t)[:, None]
-        if not np.all(h > 0):
+        if not np.all(np.diff(t) > 0):
             raise ValueError("abscissae must be strictly increasing")
-        terms = np.empty((4, n_steps, m))
-        terms[0] = y[1:] - y[:-1]
-        terms[1] = h * f[:-1] - terms[0]
-        terms[2] = terms[0] - h * f[1:] - terms[1]
-        terms[3] = 0.0 if self.extension is None else self.extension
-        object.__setattr__(self, "_terms", terms)
 
     @property
     def n_steps(self) -> int:
@@ -293,7 +285,8 @@ def dp45_solve(problem: OdeProblem, ctrl: StepControl) -> Trajectory:
         for s in range(1, 7):
             y_stage = y + h * _DP_A[s - 1].dot(k[:s])
             k[s] = problem.rhs(x + _DP_C[s] * h, y_stage)
-            if not np.isfinite(k[s]).all():
+            # a few m values: a Python pass costs a third of np.isfinite(...).all()
+            if not all(map(math.isfinite, k[s].tolist())):
                 return None
         y_new = y + h * _DP_B.dot(k)
         err = _scaled_error(h * _DP_E.dot(k), y, y_new, ctrl)
@@ -380,18 +373,18 @@ def dense_eval(traj: Trajectory, x) -> np.ndarray:
     go straight into the output; points in any other order, repeats
     included, are argsorted once (16 bytes per point) and each block's
     values are scattered into place.  A block of ``_BLOCK_VALUES // (4*m)``
-    points (2,048 for m = 8) repeats each of its steps' rows (left abscissa,
-    width, terms r2..r5 and state) over the step's run of points, so the
-    terms are contiguous (points, m) slabs in L2 cache; with theta spelled
-    out to (points, m), each pass runs in place over contiguous values, in
-    about half the time of strided terms and a new array per pass (HIRES,
-    2-vCPU Xeon).  Every operation acts on each point alone, with no
-    reduction across points, so the values are bit for bit those of one pass
-    over the whole array.
+    points (2,048 for m = 8) forms the terms r2..r5 of the steps it covers
+    and repeats each step's rows (left abscissa, width, terms and state)
+    over the step's run of points, so the terms are contiguous (points, m)
+    slabs in L2 cache; with theta spelled out to (points, m), each pass runs
+    in place over contiguous values, in about half the time of strided terms
+    and a new array per pass (HIRES, 2-vCPU Xeon).  The scratch grows by the
+    block's step terms, at most one row per point.  Every operation acts on
+    each point or step alone, so the values are bit for bit one pass's.
     """
-    t = traj.abscissae
+    t, y, f = traj.abscissae, traj.states, traj.derivatives
     pts, scalar = _evaluation_points(x, t[0], t[-1])
-    m = traj.states.shape[1]
+    m = y.shape[1]
     size = max(1, _BLOCK_VALUES // (4 * m))
     out = np.empty((len(pts), m))
     pts, order, bounds = _knot_walk(pts, t, "left")
@@ -403,23 +396,31 @@ def dense_eval(traj: Trajectory, x) -> np.ndarray:
         first = np.searchsorted(bounds, lo, side="right") - 1
         last = np.searchsorted(bounds, hi - 1, side="right")
         counts = np.diff(np.clip(bounds[first : last + 1], lo, hi))
-        steps = slice(first, last)
-        width = np.repeat(t[first + 1 : last + 1] - t[steps], counts)
+        steps, ends = slice(first, last), slice(first + 1, last + 1)
+        h = t[ends] - t[steps]
+        width = np.repeat(h, counts)
         theta = np.repeat((block - np.repeat(t[steps], counts)) / width, m).reshape(-1, m)
         rest = 1.0 - theta
-        r2, r3, r4, acc = np.repeat(traj._terms[:, steps], counts, axis=1)
+        h = np.repeat(h, m).reshape(-1, m)  # spelled out: a (steps, 1) broadcast runs slower
+        terms = np.empty((5, last - first, m))  # r2..r5 and y0 of the steps
+        terms[0] = y[ends] - y[steps]
+        terms[1] = h * f[steps] - terms[0]
+        terms[2] = terms[0] - h * f[ends] - terms[1]
+        terms[3] = 0.0 if traj.extension is None else traj.extension[steps]
+        terms[4] = y[steps]
+        r2, r3, r4, acc, y0 = np.repeat(terms, counts, axis=1)
         for factor, term in ((rest, r4), (theta, r3), (rest, r2)):  # innermost first
             acc *= factor
             acc += term
         acc *= theta
         rows = out[lo:hi] if order is None else buf[: len(block)]
-        np.add(np.repeat(traj.states[steps], counts, axis=0), acc, out=rows)
+        np.add(y0, acc, out=rows)
         # theta == 1 at x_end, and where rounding makes it 1 just left of a
         # knot: take the right state, which y0 + r2 need not round to
         at_end = theta[:, 0] == 1.0
         if at_end.any():
             right = np.searchsorted(t, block[at_end], side="right")
-            rows[at_end] = traj.states[np.minimum(right, len(t) - 1)]
+            rows[at_end] = y[np.minimum(right, len(t) - 1)]
         if order is not None:
             out[order[lo:hi]] = rows
     return out[0] if scalar else out

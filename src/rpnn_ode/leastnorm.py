@@ -169,7 +169,5 @@ def truncated_pinv_solve(a: np.ndarray, b: np.ndarray, rcond: float | None = Non
     if not np.all(np.isfinite(b)):
         raise NumericError("right-hand side contains non-finite entries")
     u, s, vt, keep = _truncated_svd(a, rcond)
-    if not np.any(keep):
-        return np.zeros(a.shape[1])
     return vt[keep].T @ ((u[:, keep].T @ b) / s[keep])
 

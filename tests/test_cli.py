@@ -328,6 +328,18 @@ def test_a_non_integer_rpnn_seed_is_a_usage_error(tmp_path, monkeypatch, capsys,
     assert solver_calls == []
     assert not report.exists()
 
+
+def test_eval_ignores_a_non_integer_rpnn_seed(tmp_path, monkeypatch, capsys):
+    sol_path = tmp_path / "pr.json"
+    assert main(["solve", "--problem", "pr", "--tol", "1e-3", "--seed", "5",
+                 "--save-solution", str(sol_path)]) == 0
+    capsys.readouterr()
+    monkeypatch.setenv("RPNN_SEED", "abc")
+    assert main(["eval", "--solution", str(sol_path), "--points", "0.5"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert float(lines[1].split(",")[1]) == eval_solution(load_solution(sol_path), 0.5)[0]
+
+
 @pytest.mark.parametrize("repeats", ["0", "-3"])
 def test_solve_rejects_repeats_below_one(tmp_path, solver_calls, repeats):
     assert main(["solve", "--problem", "pr", "--repeats", repeats,

@@ -502,6 +502,21 @@ def test_trajectory_arrays_hold_only_the_accepted_points(classical_trajectory, m
     assert all(a.base is None for a in arrays)  # trimmed copies, not views of the store
 
 
+def test_building_a_trajectory_allocates_less_than_one_step_array(classical_trajectory):
+    traj = classical_trajectory("hires", "dp45")
+    fields = {f.name: getattr(traj, f.name) for f in dataclasses.fields(traj) if f.init}
+    tracemalloc.start()
+    try:
+        built = Trajectory(**fields)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the fields are kept as given, and only checked: dense output forms the
+    # step terms r2..r5 per block instead of storing them with the trajectory
+    assert all(getattr(built, name) is value for name, value in fields.items())
+    assert peak < traj.n_steps * traj.states.shape[1] * 8
+
+
 @pytest.mark.parametrize("method", ["dp45", "sdirk"])
 def test_dense_eval_peak_memory_is_the_output_plus_one_block(classical_trajectory, method):
     traj = classical_trajectory("hires", method)
