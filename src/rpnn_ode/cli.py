@@ -114,17 +114,18 @@ def _cmd_solve(args) -> int:
 
 
 def _parse_suite(text: str) -> list[str]:
+    """Full names of a comma list of problems, each once; "all" (any case) selects every one."""
     names = [tok.strip() for tok in text.split(",") if tok.strip()]
     if not names:
         raise ValueError("empty --suite selection")
-    if "all" in names:
-        return list(BENCHMARK_NAMES)
-    return [canonical_name(name) for name in names]
+    keys = [None if name.lower() == "all" else canonical_name(name) for name in names]
+    return list(BENCHMARK_NAMES) if None in keys else list(dict.fromkeys(keys))
 
 
 def _cmd_benchmark(args) -> int:
     suite = _parse_suite(args.suite)
-    mu_values = [float(tok) for tok in str(args.mu).split(",")] if args.mu else [100.0]
+    # each mu once: a repeated one would write the same report path twice
+    mu_values = dict.fromkeys(map(float, str(args.mu).split(","))) if args.mu else [100.0]
     problems = []
     for name in suite:
         if name == "van_der_pol":

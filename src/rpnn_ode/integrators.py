@@ -44,10 +44,10 @@ with r2 = y1 - y0, r3 = h*f0 - r2 and r4 = r2 - h*f1 - r3.  r5 = 0 gives
 cubic Hermite, which implicit trajectories use on their (smaller) steps; dp45
 trajectories carry r5 = h * sum(d_i k_i), the pair's order-4 continuous
 extension.  Like the MATLAB suite's dense output, which works one step's
-interpolant at a time, :func:`dense_eval` walks the sorted points over the
-abscissae once: one search of the abscissae into the points gives every
-step's run of points, the knot walk of ``solver.eval_solution``, and each
-cache-sized block forms its steps' terms and repeats them over their runs.
+interpolant at a time, :func:`dense_eval` walks the points over the
+abscissae once, by the point walk of ``solver.eval_solution``: one search of
+the abscissae into the sorted points gives every step's run, each block forms
+its steps' terms, and unsorted points are scattered from one block of scratch.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ import numpy as np
 
 from .errors import NumericError, StepUnderflowError
 from .problems import OdeProblem, initial_rhs
-from .trial import _BLOCK_VALUES, _evaluation_points, _knot_walk
+from .trial import _BLOCK_VALUES, _walk_points
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -369,33 +369,23 @@ def dense_eval(traj: Trajectory, x) -> np.ndarray:
     when x has more than one dimension, or when a point lies outside the
     trajectory or is NaN.
 
-    Steps own left-closed intervals, the last step x_end too.  Sorted points
-    go straight into the output; points in any other order, repeats
-    included, are argsorted once (16 bytes per point) and each block's
-    values are scattered into place.  A block of ``_BLOCK_VALUES // (4*m)``
-    points (2,048 for m = 8) forms the terms r2..r5 of the steps it covers
-    and repeats each step's rows (left abscissa, width, terms and state)
-    over the step's run of points, so the terms are contiguous (points, m)
-    slabs in L2 cache; with theta spelled out to (points, m), each pass runs
-    in place over contiguous values, in about half the time of strided terms
-    and a new array per pass (HIRES, 2-vCPU Xeon).  The scratch grows by the
-    block's step terms, at most one row per point.  Every operation acts on
-    each point or step alone, so the values are bit for bit one pass's.
+    Steps own left-closed intervals, the last step x_end too.  The points go
+    through ``trial._walk_points`` in blocks of ``_BLOCK_VALUES // (4*m)``
+    points (2,048 for m = 8); unsorted ones are argsorted once (16 bytes per
+    point) and scattered from one block of scratch.  A block forms the terms
+    r2..r5 of its steps and repeats each step's rows (left abscissa, width,
+    terms and state) over the step's run, so that with theta spelled out to
+    (points, m) every pass runs in place over contiguous slabs in L2 cache,
+    in about half the time of strided terms and a new array per pass (HIRES,
+    2-vCPU Xeon).  The scratch grows by the block's step terms, at most one
+    row per point.  Each operation acts on one point or step, so the values
+    are bit for bit one pass's.
     """
     t, y, f = traj.abscissae, traj.states, traj.derivatives
-    pts, scalar = _evaluation_points(x, t[0], t[-1])
     m = y.shape[1]
-    size = max(1, _BLOCK_VALUES // (4 * m))
-    out = np.empty((len(pts), m))
-    pts, order, bounds = _knot_walk(pts, t, "left")
-    buf = None if order is None else np.empty((min(size, len(pts)), m))
-    for lo in range(0, len(pts), size):
-        block = pts[lo : lo + size]
-        hi = lo + len(block)
-        # steps first..last-1 hold the block: their runs of points, clipped to it
-        first = np.searchsorted(bounds, lo, side="right") - 1
-        last = np.searchsorted(bounds, hi - 1, side="right")
-        counts = np.diff(np.clip(bounds[first : last + 1], lo, hi))
+
+    def fill(block, first, counts, rows):
+        last = first + len(counts)
         steps, ends = slice(first, last), slice(first + 1, last + 1)
         h = t[ends] - t[steps]
         width = np.repeat(h, counts)
@@ -413,7 +403,6 @@ def dense_eval(traj: Trajectory, x) -> np.ndarray:
             acc *= factor
             acc += term
         acc *= theta
-        rows = out[lo:hi] if order is None else buf[: len(block)]
         np.add(y0, acc, out=rows)
         # theta == 1 at x_end, and where rounding makes it 1 just left of a
         # knot: take the right state, which y0 + r2 need not round to
@@ -421,6 +410,5 @@ def dense_eval(traj: Trajectory, x) -> np.ndarray:
         if at_end.any():
             right = np.searchsorted(t, block[at_end], side="right")
             rows[at_end] = y[np.minimum(right, len(t) - 1)]
-        if order is not None:
-            out[order[lo:hi]] = rows
-    return out[0] if scalar else out
+
+    return _walk_points(x, t, "left", m, max(1, _BLOCK_VALUES // (4 * m)), fill)

@@ -256,19 +256,26 @@ def make_benchmark(name: str, **params) -> OdeProblem:
 
     ``prothero_robinson`` accepts ``lam`` (default -1e5, must be negative) and
     ``van_der_pol`` accepts ``mu`` (default 1000, must be positive); the other
-    problems take no parameters.  Unknown names or parameters raise ValueError.
+    problems take no parameters.  Unknown names or parameters, and parameter
+    values that are not real numbers or out of range, raise ValueError.
     """
     key = canonical_name(name)
     if key == "prothero_robinson":
-        lam = params.pop("lam", DEFAULT_LAMBDA)
-        _reject_extra(key, params)
-        return _prothero_robinson(float(lam))
+        return _prothero_robinson(_only_param(key, params, "lam", DEFAULT_LAMBDA))
     if key == "van_der_pol":
-        mu = params.pop("mu", DEFAULT_MU)
-        _reject_extra(key, params)
-        return _van_der_pol(float(mu))
+        return _van_der_pol(_only_param(key, params, "mu", DEFAULT_MU))
     _reject_extra(key, params)
     return _rober() if key == "rober" else _hires()
+
+
+def _only_param(key: str, params: dict, name: str, default: float) -> float:
+    """Problem key's one parameter, as a float; raises ValueError for any other."""
+    value = params.pop(name, default)
+    _reject_extra(key, params)
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a real number, got {value!r}") from None
 
 
 def _reject_extra(name: str, params: dict) -> None:

@@ -6,11 +6,11 @@ factor makes psi match the segment's initial values at x_start exactly, for
 any weights, so training only has to care about the differential equation.
 
 Dense evaluation works through the points in blocks, writes each block into
-its rows of the output (``eval_solution`` passes the slice of its result that
-the segment owns) and runs every step in place, in the order of the plain
-(k, h, m) broadcast formula psi = alpha + ramp*(g*weights).sum(axis=1) with
-g = exp(-((x + b) - c)^2 * 1/sigma^2): (x + b) - c, square, times
--1/sigma^2, exp, times the weights.  Elementwise results do not depend on
+its rows of the output (``eval_solution`` passes a segment's run of points in
+a block of ``_walk_points`` with its rows) and runs every step in place, in
+the order of the plain (k, h, m) broadcast formula psi = alpha +
+ramp*(g*weights).sum(axis=1) with g = exp(-((x + b) - c)^2 * 1/sigma^2):
+(x + b) - c, square, times -1/sigma^2, exp, times the weights.  Elementwise results do not depend on
 the layout.  Folding the sign into -1/sigma^2 is exact: IEEE rounding is
 symmetric in sign, so (-p)*s and p*(-s) are the same double.
 
@@ -95,41 +95,46 @@ class SegmentSolution:
         return self.basis.x_start
 
 
-def _evaluation_points(x, lo: float, hi: float) -> tuple[np.ndarray, bool]:
-    """Check evaluation points x against [lo, hi]; returns (1-d points, x is a scalar).
+def _walk_points(x, knots: np.ndarray, side: str, m: int, size: int, fill) -> np.ndarray:
+    """Values at x in [knots[0], knots[-1]]: (m,) for scalar x, (k, m) for k points.
 
-    Raises ValueError when x has more than one dimension, or when a point lies
-    outside [lo, hi] or is NaN.
+    The point walk of both dense evaluators.  Raises ValueError when x has
+    more than one dimension, or when a point lies outside the knots or is NaN.
+    Unsorted points are argsorted once (16 bytes per point; the sort need not
+    be stable).  One search of the knots into the sorted points cuts them into
+    intervals: the first owns knots[0], the last knots[-1], and an interior
+    knot the one on its left for ``side="right"``, on its right otherwise.
+    ``fill(block, first, counts, rows)`` writes the values at a sorted block
+    of ``size`` points into rows, counts[j] of them (perhaps 0) in interval
+    first + j; rows is the block's slice of the output for sorted points,
+    else one block of scratch that is scattered into place.
     """
     xs = np.asarray(x, dtype=float)
     if xs.ndim > 1:
         raise ValueError(f"evaluation points must be a scalar or 1-d, got shape {xs.shape}")
     pts = np.atleast_1d(xs)
-    if pts.size and not (pts.min() >= lo and pts.max() <= hi):
-        raise ValueError(
-            f"evaluation points must lie in [{lo}, {hi}], got range [{pts.min()}, {pts.max()}]"
-        )
-    return pts, xs.ndim == 0
-
-
-def _knot_walk(pts: np.ndarray, knots: np.ndarray, side: str):
-    """Cut 1-d points at increasing knots; returns (sorted points, order, bounds).
-
-    Unsorted points are argsorted once; order is None when pts is sorted.  The
-    sort need not be stable: each point keeps its own value and row.
-    Interval k owns the sorted points bounds[k]:bounds[k + 1], found by one
-    search of the knots into the points, not a search per point.  An interior
-    knot belongs to the interval on its left for ``side="right"`` and on its
-    right for ``side="left"``; the first interval owns knots[0] and the last
-    knots[-1] either way.
-    """
+    if pts.size and not (pts.min() >= knots[0] and pts.max() <= knots[-1]):
+        raise ValueError(f"evaluation points must lie in [{knots[0]}, {knots[-1]}], "
+                         f"got range [{pts.min()}, {pts.max()}]")
     order = None
     if np.any(pts[1:] < pts[:-1]):
         order = np.argsort(pts)
         pts = pts[order]
     bounds = np.searchsorted(pts, knots, side=side)
     bounds[0], bounds[-1] = 0, len(pts)
-    return pts, order, bounds
+    out = np.empty((len(pts), m))
+    buf = None if order is None else np.empty((min(size, len(pts)), m))
+    for start in range(0, len(pts), size):
+        block = pts[start : start + size]
+        stop = start + len(block)
+        first = np.searchsorted(bounds, start, side="right") - 1
+        last = np.searchsorted(bounds, stop - 1, side="right")
+        counts = np.diff(np.clip(bounds[first : last + 1], start, stop))
+        rows = out[start:stop] if order is None else buf[: len(block)]
+        fill(block, first, counts, rows)
+        if order is not None:
+            out[order[start:stop]] = rows
+    return out[0] if xs.ndim == 0 else out
 
 
 def _block_len(h: int, m: int) -> int:

@@ -377,6 +377,31 @@ def test_suite_names_resolve_like_make_benchmark():
     assert _parse_suite("rober,all") == ["prothero_robinson", "van_der_pol", "rober", "hires"]
 
 
+def test_every_suite_name_is_checked_and_each_problem_is_kept_once(tmp_path):
+    everything = ["prothero_robinson", "van_der_pol", "rober", "hires"]
+    assert _parse_suite("ALL") == _parse_suite("hires, All") == everything
+    assert _parse_suite("hires,HIRES") == ["hires"]
+    assert _parse_suite("vdp,van_der_pol,pr,VDP") == ["van_der_pol", "prothero_robinson"]
+    for suite in ("all,lorenz", "lorenz,ALL"):
+        with pytest.raises(ValueError, match="lorenz"):
+            _parse_suite(suite)
+        assert main(["benchmark", "--suite", suite, "--out", str(tmp_path / "s.csv")]) == 1
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_benchmark_runs_a_repeated_mu_once(tmp_path, monkeypatch):
+    seen = []
+
+    def fake_run_benchmark(problems, **kwargs):
+        seen.append([(p.name, p.params.get("mu")) for p in problems])
+        return []
+
+    monkeypatch.setattr(cli_module, "run_benchmark", fake_run_benchmark)
+    main(["benchmark", "--suite", "vdp,rober,van_der_pol", "--mu", "10,1e1,20,10.0",
+          "--out", str(tmp_path / "s.csv"), "--report-dir", str(tmp_path)])
+    assert seen == [[("van_der_pol", 10.0), ("van_der_pol", 20.0), ("rober", None)]]
+
+
 def test_benchmark_passes_lambda_only_when_given(tmp_path, monkeypatch):
     seen = []
 

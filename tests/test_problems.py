@@ -129,6 +129,17 @@ def test_make_benchmark_rejects_non_finite_parameters(name, params):
         make_benchmark(name, **params)
 
 
+@pytest.mark.parametrize("name, param, value", [
+    ("vdp", "mu", None),
+    ("vdp", "mu", "fast"),
+    ("pr", "lam", [1]),
+    ("pr", "lam", {"lam": -1.0}),
+])
+def test_make_benchmark_rejects_a_parameter_that_is_not_a_number(name, param, value):
+    with pytest.raises(ValueError, match=f"{param} must be a real number"):
+        make_benchmark(name, **{param: value})
+
+
 def test_analytic_solution_only_for_prothero_robinson():
     pr = make_benchmark("pr")
     xs = np.linspace(0, 2 * math.pi, 7)

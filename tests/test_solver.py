@@ -14,13 +14,17 @@ from rpnn_ode import (
     SeededRng,
     SegmentSolution,
     SolverConfig,
+    StepControl,
     StepUnderflowError,
     assemble_residual,
+    dense_eval,
+    dp45_solve,
     eval_solution,
     gauss_newton_train,
     make_benchmark,
     make_grid,
     sample_basis,
+    sdirk_solve,
     solve_adaptive,
     trial_eval,
 )
@@ -481,6 +485,37 @@ def test_eval_solution_rejects_multidimensional_points(shape):
         eval_solution(sol, pts)
 
 
+@pytest.mark.parametrize("method", ["rpnn", "dp45", "sdirk"])
+def test_both_evaluators_take_lists_and_views_and_reject_arrays_outside_the_domain(method):
+    # empty arrays, scalars, repeats, x_end and NaN have their own tests per evaluator
+    if method == "rpnn":
+        sol = random_piecewise(90, 2)
+        knots = sol.knots
+
+        def evaluate(x):
+            return eval_solution(sol, x)
+    else:
+        solve = dp45_solve if method == "dp45" else sdirk_solve
+        traj = solve(make_benchmark("vdp", mu=1.0), StepControl(1e-6, 1e-6))
+        knots = traj.abscissae
+
+        def evaluate(x):
+            return dense_eval(traj, x)
+    lo, hi = knots[0], knots[-1]
+    ends = evaluate(np.array([lo, hi]))
+    for x, row in ((lo, 0), (hi, 1)):
+        assert np.array_equal(evaluate(np.array(x)), ends[row])  # a 0-d array is a scalar
+        assert np.array_equal(evaluate([x]), ends[[row]])
+    assert evaluate([]).shape == (0, 2)
+    grid = np.linspace(lo, hi, 1001)
+    want = evaluate(grid)
+    assert np.array_equal(evaluate(list(grid)), want)
+    assert np.array_equal(evaluate(grid[::-3]), want[::-3])  # a descending strided view
+    for bad in ([lo - 1e-3, hi], [hi, hi + 1e-3, lo], [hi, math.nan, lo]):
+        with pytest.raises(ValueError, match="must lie in"):
+            evaluate(bad)
+
+
 def test_piecewise_solution_rejects_a_component_count_its_segments_do_not_have():
     sol = random_piecewise(8, 2)
     fields = dict(problem_name="random", x0=sol.x0, x_end=sol.x_end, segments=sol.segments,
@@ -591,15 +626,33 @@ def test_dense_evaluation_of_hires_stays_within_its_scratch_budget(solved):
     assert peak < budget, (peak, budget)
 
 
+def shuffled_scratch_budget(sol, n: int) -> int:
+    """Bytes an evaluation of n unsorted points may hold: the output, the sort
+    and one block of rows beside the blocks of ``trial``, with 512 KiB to spare."""
+    block_bytes = 8 * trial_module._BLOCK_VALUES
+    rows = trial_module._block_len(sol.segments[0].basis.h, sol.m)
+    return (8 * sol.m * n  # the result
+            + 16 * n  # the sort order and the sorted points
+            + n  # the order check, one byte per point
+            + 8 * sol.m * rows  # one block of rows, scattered into the result
+            + (1 if sol.m == 1 else 2) * block_bytes  # the (k, h) block; or a slab and the sum
+            + 2**19)
+
+
 def test_shuffled_dense_evaluation_of_hires_stays_within_its_scratch_budget(solved):
     sol = solved("hires", 0)
     xs = np.linspace(sol.x0, sol.x_end, 150_001)
-    widest = np.diff(np.searchsorted(xs, sol.knots, side="right")).max()
     np.random.default_rng(0).shuffle(xs)
-    budget = (8 * sol.m * len(xs)  # the result
-              + 8 * sol.m * widest  # the widest segment's values, before the scatter
-              + 16 * len(xs)  # the sort order and the sorted points
-              + 2 * 8 * trial_module._BLOCK_VALUES  # one node's slab and the sum over nodes
-              + 2**20)
+    budget = shuffled_scratch_budget(sol, len(xs))
+    peak = _peak_bytes_of_evaluation(sol, xs)
+    assert peak < budget, (peak, budget)
+
+
+def test_shuffled_dense_evaluation_of_one_segment_holds_one_block_of_its_values():
+    sol = solve_adaptive(make_benchmark("pr", lam=-1.0), SolverConfig(tol=1e-3, seed=0))
+    assert sol.n_segments == 1
+    xs = np.linspace(sol.x0, sol.x_end, 150_001)
+    np.random.default_rng(0).shuffle(xs)
+    budget = shuffled_scratch_budget(sol, len(xs))
     peak = _peak_bytes_of_evaluation(sol, xs)
     assert peak < budget, (peak, budget)

@@ -257,3 +257,32 @@ def test_node_groups_are_bitwise_the_broadcast_formula(monkeypatch, m):
     for count in range(1, 30):
         xs = np.linspace(seg.x_start - 0.2, seg.x_stop + 0.2, count)
         assert np.array_equal(trial_eval(seg, xs), broadcast_eval(seg, xs)), count
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_point_walk_hands_each_block_its_intervals_and_scatters_it_back(side):
+    knots = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
+    rng = np.random.default_rng(0)
+    pts = np.concatenate([knots, knots[1:3], rng.uniform(0.0, 4.0, 20), [2.5] * 3])
+    # interior knots go left for side="right" and right for side="left"
+    other = "left" if side == "right" else "right"
+    sizes = []
+
+    def fill(block, first, counts, rows):
+        sizes.append(len(block))
+        assert np.all(block[1:] >= block[:-1])
+        assert counts.sum() == len(block) and counts[0] > 0 and counts[-1] > 0
+        rows[:, 0] = block
+        rows[:, 1] = np.repeat(np.arange(first, first + len(counts)), counts)
+
+    for xs in (np.sort(pts), pts[rng.permutation(len(pts))]):
+        sizes.clear()
+        out = trial_module._walk_points(xs, knots, side, 2, 4, fill)
+        assert sizes == [4] * 7 + [2]
+        assert np.array_equal(out[:, 0], xs)
+        want = np.clip(np.searchsorted(knots, xs, side=other) - 1, 0, len(knots) - 2)
+        assert np.array_equal(out[:, 1], want)
+    sizes.clear()
+    assert trial_module._walk_points(2.5, knots, side, 2, 4, fill).shape == (2,)
+    assert trial_module._walk_points(np.empty(0), knots, side, 2, 4, fill).shape == (0, 2)
+    assert sizes == [1]
