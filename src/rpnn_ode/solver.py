@@ -2,17 +2,20 @@
 
 A solve starts by attempting the whole domain as a single segment.  Each
 attempt (:func:`_attempt`) samples a fresh random basis, collocates the
-residual on n interior points and runs at most ``maxiter`` Gauss-Newton
-iterations from zero weights, each stepping by the minimum-norm
-truncated-pseudoinverse solution of the linearized system.  The width rule
-in :func:`solve_adaptive` then halves the interval width when the residual
-2-norm does not reach ``tol``, and the attempt repeats from the same starting
-abscissa; on success the next interval starts where this one stopped, with
-twice the width (clamped to the remaining domain).  Chaining each segment's
-start state to the previous segment's end value makes the piecewise solution
-continuous by construction.  A midpoint residual check before acceptance and
-start weights other than zero belong in ``_attempt``, a per-attempt trace
-around its call, and another width policy in place of the width rule.
+residual on n interior points and trains zero start weights by Gauss-Newton
+steps, each the minimum-norm truncated-pseudoinverse solution of the
+linearized system.  :func:`gauss_newton_train` runs two phases: converge
+(at most ``maxiter`` - 1 steps until the residual 2-norm reaches ``tol``),
+then refine (one more step, kept only if the norm does not grow).  The width
+rule in :func:`solve_adaptive` then halves the interval width when the
+residual 2-norm does not reach ``tol``, and the attempt repeats from the same
+starting abscissa; on success the next interval starts where this one
+stopped, with twice the width (clamped to the remaining domain).  Chaining
+each segment's start state to the previous segment's end value makes the
+piecewise solution continuous by construction.  A midpoint residual check
+before acceptance and start weights other than zero belong in ``_attempt``,
+a per-attempt trace around its call, and another width policy in place of
+the width rule.
 """
 
 from __future__ import annotations
@@ -87,65 +90,61 @@ def gauss_newton_train(
     tol: float,
     maxiter: int,
 ) -> TrainResult:
-    """Iterate W <- W - pinv(dF/dW) F on seg.weights until ||F||_2 <= tol.
+    """Train seg.weights in place by steps W <- W - pinv(dF/dW) F, in two phases.
 
-    The convergence test uses the residual of the iterate that fed the latest
-    step, so a converged iterate still receives one final refinement step,
-    which costs one Jacobian assembly and one SVD per accepted attempt (17 of
-    the 114 SVDs of a default HIRES solve at seeds 0-2); the step is reverted
-    if it does not improve the residual.  Stopping this way leaves accepted
-    segments with residuals far below tol (one Newton contraction deeper),
-    which is what keeps the integrated drift of wide smooth segments small.
+    Converge: step while tol < ||F||_2 < inf and fewer than maxiter - 1 steps
+    have been taken, or until a step cannot be computed.  A maxiter-th step is
+    never taken from above tol, since no step could pass there.  A failed
+    attempt reports the last residual norm (inf once F or its norm is not
+    finite, which counts as non-convergence so that the driver halves the
+    interval instead of aborting) and the steps taken.
 
-    An iteration that starts with the residual above tol on the last allowed
-    iteration cannot converge whatever its step does, so it is not taken: a
-    failed attempt reports the residual after maxiter - 1 steps in
-    ``final_residual_norm`` (and hence in ``StepUnderflowError.last_error``)
-    and ``iterations = maxiter - 1``.
-
-    Returns without raising on non-finite residuals or Jacobians; these count
-    as non-convergence so the adaptive driver can respond by halving the
-    interval instead of aborting.  The exception is the refinement step of an
-    iterate that already meets tol: when that step's Jacobian or solve cannot
-    be computed, the iterate is kept and reported converged, with its residual
-    and the steps taken before it.
+    Refine: an iterate that converged after at least one step gets one more
+    step, kept only if ||F||_2 does not grow; otherwise the converged weights
+    are put back.  It costs one Jacobian and one SVD per accepted attempt and
+    leaves residuals far below tol, which keeps the drift of wide smooth
+    segments small.  When it cannot be computed, the converged iterate stands.
     """
-    h, m = seg.basis.h, seg.basis.m
+    resid, err = _residual(problem, seg, grid)
+    steps = 0
+    while tol < err < np.inf and steps < maxiter - 1:
+        step = _step(problem, seg, grid, resid)
+        if step is None:
+            break
+        seg.weights += step
+        resid, err = _residual(problem, seg, grid)
+        steps += 1
+    if not err <= tol:
+        return TrainResult(False, err, steps)
+    step = _step(problem, seg, grid, resid) if steps else None
+    if step is None:
+        return TrainResult(True, err, steps)
+    seg.weights += step
+    refined = _residual(problem, seg, grid)[1]
+    if not refined <= err:
+        seg.weights -= step
+        refined = err
+    return TrainResult(True, refined, steps + 1)
+
+
+def _residual(problem: OdeProblem, seg: SegmentSolution, grid: np.ndarray):
+    """(F, ||F||_2) at seg's weights, or (None, inf) when F or its norm is not finite."""
     try:
         resid = assemble_residual(problem, seg, grid)
     except NumericError:
-        return TrainResult(False, np.inf, 0)
+        return None, np.inf
     err = float(np.linalg.norm(resid))
-    if not np.isfinite(err):
-        return TrainResult(False, np.inf, 0)
-    if err <= tol:
-        return TrainResult(True, err, 0)
-    for iteration in range(1, maxiter + 1):
-        if iteration == maxiter and err > tol:
-            break  # no step taken here could pass the pre-step test
-        try:
-            jac = assemble_jacobian(problem, seg, grid)
-            step = -truncated_pinv_solve(jac, resid)
-        except NumericError:
-            return TrainResult(err <= tol, err, iteration - 1)
-        delta = step.reshape(m, h).T
-        seg.weights += delta
-        try:
-            new_resid = assemble_residual(problem, seg, grid)
-            new_err = float(np.linalg.norm(new_resid))
-        except NumericError:
-            new_resid, new_err = None, np.inf
-        if err <= tol:
-            # the pre-step iterate already satisfied the tolerance; keep the
-            # refinement only when it helped
-            if not new_err <= err:
-                seg.weights -= delta
-                new_err = err
-            return TrainResult(True, new_err, iteration)
-        if not np.isfinite(new_err):
-            return TrainResult(False, np.inf, iteration)
-        resid, err = new_resid, new_err
-    return TrainResult(False, err, maxiter - 1)
+    return (resid, err) if np.isfinite(err) else (None, np.inf)
+
+
+def _step(problem: OdeProblem, seg: SegmentSolution, grid: np.ndarray, resid: np.ndarray):
+    """The Gauss-Newton step -pinv(dF/dW) F as an (h, m) array, or None when the
+    Jacobian or its solve is not finite."""
+    try:
+        step = -truncated_pinv_solve(assemble_jacobian(problem, seg, grid), resid)
+    except NumericError:
+        return None
+    return step.reshape(seg.basis.m, seg.basis.h).T
 
 
 @dataclass(frozen=True)
