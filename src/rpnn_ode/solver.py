@@ -119,10 +119,11 @@ def gauss_newton_train(
     step = _step(problem, seg, grid, resid) if steps else None
     if step is None:
         return TrainResult(True, err, steps)
+    converged = seg.weights.copy()
     seg.weights += step
     refined = _residual(problem, seg, grid)[1]
     if not refined <= err:
-        seg.weights -= step
+        seg.weights[...] = converged  # subtracting the step need not restore them
         refined = err
     return TrainResult(True, refined, steps + 1)
 

@@ -159,6 +159,29 @@ def test_a_converged_iterate_is_kept_when_its_refinement_step_cannot_be_computed
     assert abs(trial_eval(seg, 1.0)[0] - math.exp(-1.0)) <= 1e-6
 
 
+def test_a_rejected_refinement_puts_back_the_converged_weights_exactly(monkeypatch):
+    # a refinement step of -1e17 is rejected; subtracting it again would round
+    # the weights to multiples of 16 (7.08 off, a residual of 65.9)
+    calls, converged = [], []
+    basis = sample_basis(0.0, 1.0, 40, 1, SeededRng(0))
+    seg = SegmentSolution(basis=basis, alpha=np.array([1.0]), weights=np.zeros((40, 1)), x_stop=1.0)
+
+    def huge_refinement(a, b):
+        calls.append(1)
+        step = truncated_pinv_solve(a, b)
+        if len(calls) < 2:
+            return step
+        converged.append(seg.weights.copy())
+        return np.full_like(step, 1e17)
+
+    monkeypatch.setattr(solver_module, "truncated_pinv_solve", huge_refinement)
+    grid = make_grid(0.0, 1.0, 20)
+    result = gauss_newton_train(DECAY, seg, grid, tol=1e-8, maxiter=4)
+    assert len(calls) == 2 and result.converged and result.iterations == 2
+    assert seg.weights.tobytes() == converged[0].tobytes()
+    assert result.final_residual_norm == float(np.linalg.norm(assemble_residual(DECAY, seg, grid)))
+    assert result.final_residual_norm <= 1e-8
+
 
 def test_an_initial_residual_whose_norm_overflows_is_non_convergence():
     # every residual entry is finite, but the sum of their squares is not
@@ -217,6 +240,7 @@ def train_every_iteration(problem, seg, grid, tol, maxiter):
         except NumericError:
             return TrainResult(err <= tol, err, iteration - 1)
         delta = step.reshape(m, h).T
+        before = seg.weights.copy()
         seg.weights += delta
         try:
             new_resid = assemble_residual(problem, seg, grid)
@@ -225,7 +249,7 @@ def train_every_iteration(problem, seg, grid, tol, maxiter):
             new_resid, new_err = None, np.inf
         if err <= tol:
             if not new_err <= err:
-                seg.weights -= delta
+                seg.weights[...] = before
                 new_err = err
             return TrainResult(True, new_err, iteration)
         if not np.isfinite(new_err):
@@ -382,6 +406,31 @@ def test_no_step_underflow_on_benchmarks(name, params, tol):
     assert sol.segments[-1].x_stop == problem.x_end
 
 
+def count_training_calls(monkeypatch) -> list:
+    """Count the solver's residual, Jacobian and pinv-solve calls; returns a list
+    that gets (iterations, residuals, Jacobians, solves) of each training run."""
+    counts = dict.fromkeys(("assemble_residual", "assemble_jacobian", "truncated_pinv_solve"), 0)
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(solver_module, name, counted(name, getattr(solver_module, name)))
+    train, attempts = solver_module.gauss_newton_train, []
+
+    def recording(*args):
+        before = dict(counts)
+        result = train(*args)
+        attempts.append((result.iterations, *(counts[k] - before[k] for k in counts)))
+        return result
+
+    monkeypatch.setattr(solver_module, "gauss_newton_train", recording)
+    return attempts
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("name,params", [
     ("prothero_robinson", {"lam": -1e5}),
@@ -389,17 +438,26 @@ def test_no_step_underflow_on_benchmarks(name, params, tol):
     ("rober", {}),
     ("hires", {}),
 ])
-def test_solve_adaptive_is_bitwise_the_paper_driver(name, params, seed):
+def test_solve_adaptive_is_bitwise_the_paper_driver(name, params, seed, monkeypatch):
     problem = make_benchmark(name, **params)
-    config = SolverConfig(tol=1e-3, seed=seed)
-    sol, oracle = solve_adaptive(problem, config), paper_driver(problem, config)
-    assert np.array_equal(sol.knots, oracle.knots)
-    assert sol.iterations == oracle.iterations and sol.total_points == oracle.total_points
-    for seg, ref in zip(sol.segments, oracle.segments):
-        for a, b in ((seg.weights, ref.weights), (seg.alpha, ref.alpha),
-                     (seg.basis.centers, ref.basis.centers), (seg.basis.biases, ref.basis.biases),
-                     (seg.basis.inv_sq_widths, ref.basis.inv_sq_widths)):
-            assert a.tobytes() == b.tobytes()
+    attempts = count_training_calls(monkeypatch)
+    for tol in (1e-3, 1e-6):
+        attempts.clear()
+        config = SolverConfig(tol=tol, seed=seed)
+        sol, oracle = solve_adaptive(problem, config), paper_driver(problem, config)
+        # each attempt assembles one residual before its steps and one after
+        # each, and one Jacobian and one SVD per step
+        assert len(attempts) >= sol.n_segments
+        for iterations, residuals, jacobians, solves in attempts:
+            assert (residuals, jacobians, solves) == (iterations + 1, iterations, iterations)
+        assert np.array_equal(sol.knots, oracle.knots)
+        assert sol.iterations == oracle.iterations and sol.total_points == oracle.total_points
+        for seg, ref in zip(sol.segments, oracle.segments):
+            for a, b in ((seg.weights, ref.weights), (seg.alpha, ref.alpha),
+                         (seg.basis.centers, ref.basis.centers),
+                         (seg.basis.biases, ref.basis.biases),
+                         (seg.basis.inv_sq_widths, ref.basis.inv_sq_widths)):
+                assert a.tobytes() == b.tobytes()
 
 
 def test_rober_conservation():
