@@ -16,6 +16,8 @@ permuted points give the rows permuted.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .errors import NumericError
@@ -35,9 +37,10 @@ def make_grid(x_start: float, delta_x: float, n: int) -> np.ndarray:
     regions uncollocated lets training converge on the nodes while the
     solution drifts between them.  The right endpoint doubles as the next
     segment's starting state.  The assemblies take points in any order.
+    ValueError unless n is an integer >= 1 and delta_x > 0.
     """
-    if n < 1:
-        raise ValueError(f"need at least one collocation point, got n={n}")
+    if not isinstance(n, numbers.Integral) or n < 1:
+        raise ValueError(f"need an integer n >= 1 of collocation points, got n={n!r}")
     if not delta_x > 0:
         raise ValueError(f"interval width must be positive, got {delta_x}")
     fractions = 0.5 * (1.0 - np.cos(np.pi * np.arange(1, n + 1) / n))

@@ -53,6 +53,7 @@ its steps' terms, and unsorted points are scattered from one block of scratch.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,14 +107,17 @@ _MAX_STEPS = 5_000_000
 
 @dataclass(frozen=True)
 class StepControl:
-    """Error tolerances shared by both integrators."""
+    """Error tolerances shared by both integrators: positive finite real numbers,
+    else ValueError naming the field."""
 
     abs_tol: float
     rel_tol: float
 
     def __post_init__(self):
-        if not (0 < self.abs_tol < np.inf and 0 < self.rel_tol < np.inf):
-            raise ValueError("tolerances must be positive and finite")
+        for name in ("abs_tol", "rel_tol"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and 0 < value < np.inf):
+                raise ValueError(f"{name}: tolerance must be positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ plus ``schema_version``; the CLI's summary CSV rows are read from that form.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
@@ -113,8 +114,11 @@ def default_grid_size(problem: OdeProblem) -> int:
 
 
 def metric_grid(problem: OdeProblem, size: int | None = None) -> np.ndarray:
-    """Equidistant grid over the problem domain, both endpoints included."""
-    return np.linspace(problem.x0, problem.x_end, size or default_grid_size(problem))
+    """Equidistant grid of `size` points over the problem domain, both endpoints
+    included; :func:`default_grid_size` points for None, ValueError unless size
+    is None or an integer >= 1."""
+    size = default_grid_size(problem) if size is None else _count("grid size", size)
+    return np.linspace(problem.x0, problem.x_end, size)
 
 
 def reference_solution(problem: OdeProblem) -> Evaluable:
@@ -125,13 +129,20 @@ def reference_solution(problem: OdeProblem) -> Evaluable:
     return sdirk_solve(problem, StepControl(abs_tol=REFERENCE_TOL, rel_tol=REFERENCE_TOL))
 
 
+def _count(name: str, value) -> int:
+    """value as an int; ValueError naming it unless it is an integer (Python or
+    numpy) >= 1."""
+    if not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"need an integer {name} >= 1, got {value!r}")
+    return int(value)
+
+
 def _timed(fn, repeats: int):
     """Run fn `repeats` times; returns (first result, TimingSummary).
 
-    Raises ValueError, before the first run, when `repeats` is below 1.
+    Raises ValueError, before the first run, unless `repeats` is an integer >= 1.
     """
-    if repeats < 1:
-        raise ValueError(f"need repeats >= 1, got {repeats}")
+    repeats = _count("repeats", repeats)
     result = None
     times = []
     for r in range(repeats):
@@ -162,7 +173,8 @@ def run_cell(problem: OdeProblem, method: str, tol: float, seed: int, repeats: i
              reference: Evaluable | None, grid: np.ndarray) -> tuple[Evaluable, RunReport]:
     """Solve one cell `repeats` times; returns (first solution, report), with metrics
     against `reference` on `grid`, or None without a reference.  Raises ValueError,
-    before any solve, for `repeats` below 1 or an unknown method, else what the solve raises."""
+    before any solve, unless `repeats` is an integer >= 1 or for an unknown method,
+    else what the solve raises."""
     (evaluable, n_points, n_segments), times = _timed(
         lambda: _solve_cell(problem, method, tol, seed), repeats
     )
@@ -187,19 +199,18 @@ def run_benchmark(
     when the problem has one (Prothero-Robinson), else an sdirk trajectory at
     REFERENCE_TOL.  rpnn runs with the default :class:`SolverConfig` at `tol`
     and `seed`.  A failing cell is recorded with status "error" and does not
-    abort the suite.  A bad `tol`, `seed`, `repeats` or method raises
-    ValueError before any reference is built.
+    abort the suite.  A bad `tol`, `seed`, `repeats`, `grid_size` or method
+    raises ValueError before any reference is built.
     """
-    if repeats < 1:
-        raise ValueError(f"need repeats >= 1, got {repeats}")
+    _count("repeats", repeats)
     unknown = set(methods) - set(METHODS)
     if unknown:
         raise ValueError(f"unknown methods: {sorted(unknown)}")
     SolverConfig(tol=tol, seed=seed)  # the cells' own checks of tol and seed
     StepControl(tol, tol)
+    grids = [metric_grid(problem, grid_size) for problem in problems]
     reports = []
-    for problem in problems:
-        grid = metric_grid(problem, grid_size)
+    for problem, grid in zip(problems, grids):
         try:
             ref = reference_solution(problem)
         except Exception as exc:  # record, keep going

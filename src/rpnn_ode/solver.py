@@ -42,7 +42,8 @@ class SolverConfig:
 
     h hidden nodes per component, n collocation points per segment, residual
     tolerance tol, Gauss-Newton iteration cap maxiter and the basis seed.  h,
-    n, maxiter and seed must be integers (Python or numpy; stored as int).  The
+    n, maxiter and seed must be integers (Python or numpy; stored as int), tol
+    a real number; anything else raises ValueError naming the field.  The
     method relies on the underdetermined regime h > n; smaller h is allowed
     but warns.  Frozen, so the checks hold for the config's life; derive a
     variant with ``dataclasses.replace``, which checks it again.
@@ -64,8 +65,8 @@ class SolverConfig:
             raise ValueError(f"need h >= 2 hidden nodes, got {self.h}")
         if self.n < 1:
             raise ValueError(f"need n >= 1 collocation points, got {self.n}")
-        if not 0 < self.tol < np.inf:
-            raise ValueError(f"tolerance must be positive and finite, got {self.tol}")
+        if not (isinstance(self.tol, numbers.Real) and 0 < self.tol < np.inf):
+            raise ValueError(f"tol: tolerance must be positive and finite, got {self.tol!r}")
         if self.maxiter < 1:
             raise ValueError(f"need maxiter >= 1, got {self.maxiter}")
         if self.h <= self.n:

@@ -45,6 +45,14 @@ def test_make_grid_validation():
         make_grid(0.0, -1.0, 4)
 
 
+def test_make_grid_requires_an_integer_point_count():
+    # 3.5 used to give a 4-point grid on the wrong fractions
+    for n in (3.5, 4.0, np.float64(4.0), "4", None):
+        with pytest.raises(ValueError, match="integer n"):
+            make_grid(0.0, 1.0, n)
+    assert np.array_equal(make_grid(0.0, 1.0, np.int64(4)), make_grid(0.0, 1.0, 4))
+
+
 @pytest.mark.parametrize("name,params", [("van_der_pol", {"mu": 10.0}), ("hires", {})])
 def test_permuted_points_give_the_permuted_rows_bit_for_bit(name, params):
     p = make_benchmark(name, **params)

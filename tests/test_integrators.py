@@ -559,6 +559,16 @@ def test_step_control_validation():
             StepControl(abs_tol=1e-6, rel_tol=tol)
 
 
+def test_step_control_rejects_a_tolerance_that_is_not_a_number():
+    # None or a string used to raise TypeError from the comparison
+    for value in (None, "1e-3", [1e-3]):
+        with pytest.raises(ValueError, match="abs_tol"):
+            StepControl(value, 1e-3)
+        with pytest.raises(ValueError, match="rel_tol"):
+            StepControl(1e-3, value)
+    assert StepControl(np.float32(1e-3), 1).rel_tol == 1
+
+
 def test_dp45_rejects_a_non_finite_stage_with_min_factor(monkeypatch):
     # the rhs is NaN at negative states; a first step of 10 puts stage 2 at
     # y = 1 + 10 * (1/5) * (-1) = -1, so that attempt fails outright

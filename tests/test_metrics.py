@@ -22,6 +22,7 @@ from rpnn_ode.metrics import (
     _solve_cell,
     _timed,
     default_grid_size,
+    run_cell,
     report_to_dict,
 )
 
@@ -185,6 +186,45 @@ def test_run_benchmark_rejects_a_bad_tol_or_seed_before_any_solve(monkeypatch, t
     monkeypatch.setattr(metrics_module, "reference_solution", no_reference)
     with pytest.raises(ValueError, match="tolerance|seed"):
         run_benchmark([make_benchmark("rober")], tol=tol, seed=seed, methods=("dp45",))
+
+
+@pytest.mark.parametrize("field,value", [
+    ("repeats", 1.5), ("repeats", 2.0), ("repeats", "2"), ("repeats", None), ("repeats", 0),
+    ("tol", "a"), ("tol", None), ("grid_size", 0), ("grid_size", -1), ("grid_size", 2.5),
+])
+def test_run_benchmark_rejects_a_bad_value_before_any_reference(monkeypatch, field, value):
+    # repeats=1.5 and grid_size=0 used to reach the solves: every cell an
+    # "error", and grid_size=0 measured on the default grid
+    def no_reference(problem):
+        raise AssertionError("a reference was built")
+
+    monkeypatch.setattr(metrics_module, "reference_solution", no_reference)
+    with pytest.raises(ValueError, match=field.replace("_", " ")):
+        run_benchmark([make_benchmark("pr"), make_benchmark("rober")],
+                      **{"tol": 1e-3, field: value}, methods=("sdirk",))
+
+
+def test_timed_and_run_cell_take_an_integer_repeat_count_only():
+    calls = []
+    for repeats in (1.5, 0, "1", None):
+        with pytest.raises(ValueError, match="repeats"):
+            _timed(lambda: calls.append(1), repeats)
+        with pytest.raises(ValueError, match="repeats"):
+            run_cell(make_benchmark("pr"), "rpnn", 1e-3, 0, repeats, None, np.zeros(1))
+    assert calls == []
+    _, times = _timed(lambda: calls.append(1), np.int64(2))
+    assert calls == [1, 1] and times.repeats == 2 and type(times.repeats) is int
+
+
+def test_metric_grid_takes_none_or_an_integer_size_of_at_least_one():
+    pr = make_benchmark("pr")
+    assert len(metric_grid(pr)) == len(metric_grid(pr, None)) == 3000
+    assert np.array_equal(metric_grid(pr, np.int64(7)), metric_grid(pr, 7))
+    assert len(metric_grid(pr, 1)) == 1
+    # 0 used to give the default 3,000 points and -1 numpy's own message
+    for size in (0, -1, 2.5, 7.0, "7"):
+        with pytest.raises(ValueError, match="grid size"):
+            metric_grid(pr, size)
 
 
 def test_solve_cell_rejects_an_unknown_method():

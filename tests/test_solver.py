@@ -63,6 +63,14 @@ def test_config_validation():
         SolverConfig(h=10, n=20)
 
 
+def test_config_rejects_a_tolerance_that_is_not_a_number():
+    # a string or None used to raise TypeError from the comparison
+    for value in ("1e-3", None, [1e-3], 1e-3j):
+        with pytest.raises(ValueError, match="tol"):
+            SolverConfig(tol=value)
+    assert SolverConfig(tol=np.float32(0.5)).tol == 0.5
+
+
 def test_config_rejects_a_seed_that_is_not_an_integer():
     # 1.5 used to solve bit for bit as seed 1; None and NaN failed only in the solve
     for value in (1.5, 1.0, math.nan, None, "1", np.float64(2.0)):
