@@ -93,12 +93,12 @@ def gauss_newton_train(
 ) -> TrainResult:
     """Train seg.weights in place by steps W <- W - pinv(dF/dW) F, in two phases.
 
-    Converge: step while tol < ||F||_2 < inf and fewer than maxiter - 1 steps
-    have been taken, or until a step cannot be computed.  A maxiter-th step is
-    never taken from above tol, since no step could pass there.  A failed
-    attempt reports the last residual norm (inf once F or its norm is not
-    finite, which counts as non-convergence so that the driver halves the
-    interval instead of aborting) and the steps taken.
+    Converge: take steps while tol < ||F||_2 < inf and fewer than maxiter - 1
+    have been taken; stop early if a step cannot be computed.  No maxiter-th
+    step is taken from above tol: whatever it did, the attempt could not pass.
+    A failed attempt reports the last residual norm (inf once F or its norm is
+    not finite, so that the driver halves the interval instead of aborting)
+    and the steps taken.
 
     Refine: an iterate that converged after at least one step gets one more
     step, kept only if ||F||_2 does not grow; otherwise the converged weights
@@ -141,7 +141,7 @@ def _residual(problem: OdeProblem, seg: SegmentSolution, grid: np.ndarray):
 
 def _step(problem: OdeProblem, seg: SegmentSolution, grid: np.ndarray, resid: np.ndarray):
     """The Gauss-Newton step -pinv(dF/dW) F as an (h, m) array, or None when the
-    Jacobian or its solve is not finite."""
+    Jacobian or its solve cannot be computed (NumericError)."""
     try:
         step = -truncated_pinv_solve(assemble_jacobian(problem, seg, grid), resid)
     except NumericError:

@@ -43,9 +43,6 @@ def test_make_grid_validation():
         make_grid(0.0, 1.0, 0)
     with pytest.raises(ValueError):
         make_grid(0.0, -1.0, 4)
-
-
-def test_make_grid_requires_an_integer_point_count():
     # 3.5 used to give a 4-point grid on the wrong fractions
     for n in (3.5, 4.0, np.float64(4.0), "4", None):
         with pytest.raises(ValueError, match="integer n"):

@@ -49,9 +49,11 @@ def test_config_validation():
         SolverConfig(tol=0.0)
     with pytest.raises(ValueError):
         SolverConfig(maxiter=0)
-    for value in (math.inf, math.nan):
-        with pytest.raises(ValueError):
+    # a string or None used to raise TypeError from the comparison
+    for value in (math.inf, math.nan, "1e-3", None, [1e-3], 1e-3j):
+        with pytest.raises(ValueError, match="tol"):
             SolverConfig(tol=value)
+    assert SolverConfig(tol=np.float32(0.5)).tol == 0.5
     for name in ("h", "n", "maxiter"):
         for value in (40.0, 2.5, np.float64(20.0), "20", None):
             with pytest.raises(ValueError, match=name):
@@ -61,14 +63,6 @@ def test_config_validation():
     assert all(type(v) is int for v in (config.h, config.n, config.maxiter))
     with pytest.warns(UserWarning):
         SolverConfig(h=10, n=20)
-
-
-def test_config_rejects_a_tolerance_that_is_not_a_number():
-    # a string or None used to raise TypeError from the comparison
-    for value in ("1e-3", None, [1e-3], 1e-3j):
-        with pytest.raises(ValueError, match="tol"):
-            SolverConfig(tol=value)
-    assert SolverConfig(tol=np.float32(0.5)).tol == 0.5
 
 
 def test_config_rejects_a_seed_that_is_not_an_integer():

@@ -67,7 +67,8 @@ def _solve(rp, problem, method: str, tol: float, seed: int | None):
 
 
 def fingerprints(problems, tols, seeds, methods, src: Path = ROOT / "src") -> dict[str, str]:
-    """Case name -> fingerprint, for rpnn_ode imported from src."""
+    """Case name -> fingerprint, for rpnn_ode imported from src (unless this
+    process has imported it already)."""
     sys.path.insert(0, str(src))
     import rpnn_ode as rp
 
@@ -79,8 +80,8 @@ def fingerprints(problems, tols, seeds, methods, src: Path = ROOT / "src") -> di
         for tol in tols:
             for method in methods:
                 for seed in seeds if method == "rpnn" else (None,):
-                    case = f"{method} {name} tol={tol:g}" + (f" seed={seed}" if method == "rpnn"
-                                                             else "")
+                    case = f"{method} {name} tol={tol:g}"
+                    case += "" if seed is None else f" seed={seed}"
                     try:
                         sol, evaluate, arrays = _solve(rp, problem, method, tol, seed)
                     except Exception as exc:  # a failing solve is an output too
@@ -120,7 +121,8 @@ def main(argv=None) -> int:
         sys.path.insert(0, str(Path(__file__).resolve().parent))
         from bench_pairs import export
 
-        flags = [arg for key, values in picks.items() for v in values for arg in (f"--{key}", str(v))]
+        flags = [arg for key, values in picks.items()
+                 for value in values for arg in (f"--{key}", str(value))]
         with tempfile.TemporaryDirectory() as tmp:
             export(args.base, Path(tmp))
             child = subprocess.run([sys.executable, __file__, "--src", str(Path(tmp) / "src"),
