@@ -117,7 +117,7 @@ def metric_grid(problem: OdeProblem, size: int | None = None) -> np.ndarray:
     """Equidistant grid of `size` points over the problem domain, both endpoints
     included; :func:`default_grid_size` points for None, ValueError unless size
     is None or an integer >= 1."""
-    size = default_grid_size(problem) if size is None else _count("grid size", size)
+    size = default_grid_size(problem) if size is None else _positive_int("grid size", size)
     return np.linspace(problem.x0, problem.x_end, size)
 
 
@@ -129,7 +129,7 @@ def reference_solution(problem: OdeProblem) -> Evaluable:
     return sdirk_solve(problem, StepControl(abs_tol=REFERENCE_TOL, rel_tol=REFERENCE_TOL))
 
 
-def _count(name: str, value) -> int:
+def _positive_int(name: str, value) -> int:
     """value as an int; ValueError naming it unless it is an integer (Python or
     numpy) >= 1."""
     if not isinstance(value, numbers.Integral) or value < 1:
@@ -142,7 +142,7 @@ def _timed(fn, repeats: int):
 
     Raises ValueError, before the first run, unless `repeats` is an integer >= 1.
     """
-    repeats = _count("repeats", repeats)
+    repeats = _positive_int("repeats", repeats)
     result = None
     times = []
     for r in range(repeats):
@@ -202,7 +202,7 @@ def run_benchmark(
     abort the suite.  A bad `tol`, `seed`, `repeats`, `grid_size` or method
     raises ValueError before any reference is built.
     """
-    _count("repeats", repeats)
+    _positive_int("repeats", repeats)
     unknown = set(methods) - set(METHODS)
     if unknown:
         raise ValueError(f"unknown methods: {sorted(unknown)}")
