@@ -60,7 +60,7 @@ class SeededRng:
         return out.reshape(size)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RbfSegmentBasis:
     """Fixed random parameters of one segment's RBF expansion.
 

@@ -37,12 +37,15 @@ def make_grid(x_start: float, delta_x: float, n: int) -> np.ndarray:
     regions uncollocated lets training converge on the nodes while the
     solution drifts between them.  The right endpoint doubles as the next
     segment's starting state.  The assemblies take points in any order.
-    ValueError unless n is an integer >= 1 and delta_x > 0.
+    ValueError naming the argument unless n is an integer >= 1, x_start a
+    finite real number and delta_x a positive finite one.
     """
     if not isinstance(n, numbers.Integral) or n < 1:
         raise ValueError(f"need an integer n >= 1 of collocation points, got n={n!r}")
-    if not delta_x > 0:
-        raise ValueError(f"interval width must be positive, got {delta_x}")
+    if not (isinstance(x_start, numbers.Real) and -np.inf < x_start < np.inf):
+        raise ValueError(f"x_start must be a finite real number, got {x_start!r}")
+    if not (isinstance(delta_x, numbers.Real) and 0 < delta_x < np.inf):
+        raise ValueError(f"delta_x: interval width must be positive and finite, got {delta_x!r}")
     fractions = 0.5 * (1.0 - np.cos(np.pi * np.arange(1, n + 1) / n))
     points = x_start + delta_x * fractions
     points[-1] = x_start + delta_x

@@ -120,13 +120,14 @@ class StepControl:
                 raise ValueError(f"{name}: tolerance must be positive and finite, got {value!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Accepted integration points with states and derivatives.
 
     ``extension``, when present, holds each step's quartic dense-output term
     r5, shape (n_steps, m); without it r5 = 0 and the dense output is cubic
     Hermite.  Float fields are not copied; :func:`dense_eval` forms r2..r4 per block.
+    Compared and hashed by identity.
     """
 
     abscissae: np.ndarray

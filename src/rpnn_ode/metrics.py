@@ -56,6 +56,12 @@ class ErrorMetrics:
 
 @dataclass(frozen=True)
 class TimingSummary:
+    """Wall times of one cell's repeated solves, in seconds.
+
+    median, min and max are over the `repeats` runs, each timed with
+    ``time.perf_counter``; a failed cell has repeats 0 and times 0.
+    """
+
     median: float
     min: float
     max: float
@@ -199,10 +205,13 @@ def run_benchmark(
     when the problem has one (Prothero-Robinson), else an sdirk trajectory at
     REFERENCE_TOL.  rpnn runs with the default :class:`SolverConfig` at `tol`
     and `seed`.  A failing cell is recorded with status "error" and does not
-    abort the suite.  A bad `tol`, `seed`, `repeats`, `grid_size` or method
+    abort the suite.  `methods` is a sequence of names from METHODS; a bare
+    string, a bad `tol`, `seed`, `repeats`, `grid_size` or an unknown method
     raises ValueError before any reference is built.
     """
     _positive_int("repeats", repeats)
+    if isinstance(methods, str):
+        raise ValueError(f"methods must be a sequence of names from {METHODS}, got {methods!r}")
     unknown = set(methods) - set(METHODS)
     if unknown:
         raise ValueError(f"unknown methods: {sorted(unknown)}")

@@ -24,7 +24,7 @@ RhsFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 JacFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OdeProblem:
     """First-order system y' = f(x, y) with y(x0) = alpha, posed on [x0, x_end].
 
@@ -41,6 +41,7 @@ class OdeProblem:
     floats, for speed; a user callback need not.  ``analytic``, when present,
     maps an array of abscissae to a (len(x), m) array of exact solution
     values.  Instances are immutable and safe to share between threads.
+    They compare and hash by identity, so a problem can be a dict key.
     """
 
     name: str

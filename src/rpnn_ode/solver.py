@@ -79,6 +79,15 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class TrainResult:
+    """Outcome of one :func:`gauss_newton_train` call.
+
+    converged: ||F||_2 <= tol was reached in the converge phase.
+    final_residual_norm: ||F||_2 at the weights left in the segment, after a
+        kept refinement step; inf once F or its norm was not finite.
+    iterations: Gauss-Newton steps taken, the refinement step counted whether
+        it was kept or undone; a step that could not be computed is not counted.
+    """
+
     converged: bool
     final_residual_norm: float
     iterations: int
@@ -149,9 +158,12 @@ def _step(problem: OdeProblem, seg: SegmentSolution, grid: np.ndarray, resid: np
     return step.reshape(seg.basis.m, seg.basis.h).T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PiecewiseSolution:
-    """Contiguous trained segments covering [x0, x_end], evaluable anywhere."""
+    """Contiguous trained segments covering [x0, x_end], evaluable anywhere.
+
+    Compared and hashed by identity, as are its segments and their bases.
+    """
 
     problem_name: str
     m: int

@@ -61,7 +61,7 @@ from .basis import RbfSegmentBasis
 _BLOCK_VALUES = 1 << 16  # values per scratch array: 512 KiB of float64
 
 
-@dataclass
+@dataclass(eq=False)
 class SegmentSolution:
     """One trained interval: fixed basis, start state, output weights.
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,15 @@ def test_make_grid_validation():
         with pytest.raises(ValueError, match="integer n"):
             make_grid(0.0, 1.0, n)
     assert np.array_equal(make_grid(0.0, 1.0, np.int64(4)), make_grid(0.0, 1.0, 4))
+    # None and strings used to raise TypeError or numpy's UFuncTypeError
+    for x_start in (None, "a", "0", math.nan, math.inf, 1j):
+        with pytest.raises(ValueError, match="x_start"):
+            make_grid(x_start, 1.0, 4)
+    for delta_x in (None, "a", "1", 0.0, -1.0, math.nan, math.inf, 1j):
+        with pytest.raises(ValueError, match="delta_x"):
+            make_grid(0.0, delta_x, 4)
+    assert np.array_equal(make_grid(np.float64(0.5), np.float32(1.0), 4), make_grid(0.5, 1.0, 4))
+    assert np.array_equal(make_grid(0, 1, 4), make_grid(0.0, 1.0, 4))
 
 
 @pytest.mark.parametrize("name,params", [("van_der_pol", {"mu": 10.0}), ("hires", {})])

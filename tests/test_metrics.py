@@ -177,6 +177,17 @@ def test_run_benchmark_validation():
         run_benchmark([make_benchmark("pr")], tol=1e-3, methods=("rpnn", "euler"))
 
 
+@pytest.mark.parametrize("methods", ["rpnn", "dp45", ""])
+def test_run_benchmark_rejects_one_method_name_as_a_string(monkeypatch, methods):
+    # "rpnn" used to be read as the methods ['n', 'p', 'r']
+    def no_reference(problem):
+        raise AssertionError("a reference was built")
+
+    monkeypatch.setattr(metrics_module, "reference_solution", no_reference)
+    with pytest.raises(ValueError, match="sequence of names"):
+        run_benchmark([make_benchmark("rober")], tol=1e-3, methods=methods)
+
+
 @pytest.mark.parametrize("tol,seed", [(0.0, 0), (-1.0, 0), (math.inf, 0), (math.nan, 0),
                                       (1e-3, 1.5), (1e-3, None), ("a", 0), (None, 0)])
 def test_run_benchmark_rejects_a_bad_tol_or_seed_before_any_solve(monkeypatch, tol, seed):

@@ -87,6 +87,28 @@ def test_config_is_frozen_and_replace_checks_again():
     assert dataclasses.replace(config, seed=np.int64(3)).seed == 3
 
 
+def test_array_dataclasses_compare_and_hash_by_identity():
+    # == of two equal but separately built instances used to raise numpy's
+    # "truth value of an array is ambiguous", and hash() "unhashable type"
+    ctrl = StepControl(1e-6, 1e-6)
+    build = {
+        "problem": lambda: make_benchmark("hires"),
+        "solution": lambda: solve_adaptive(make_benchmark("pr"), SolverConfig(tol=1e-3)),
+        "segment": lambda: solve_adaptive(make_benchmark("pr"), SolverConfig(tol=1e-3)).segments[0],
+        "basis": lambda: sample_basis(0.0, 1.0, 4, 3, SeededRng(5)),
+        "trajectory": lambda: dp45_solve(make_benchmark("hires"), ctrl),
+    }
+    for kind, make in build.items():
+        first, second = make(), make()
+        assert first == first and first != second, kind
+        assert {first: kind, second: kind}[first] == kind
+        assert hash(first) != hash(second), kind
+    # the scalar-only dataclasses keep value equality
+    assert SolverConfig(tol=1e-3) == SolverConfig(tol=1e-3)
+    assert hash(StepControl(1e-6, 1e-3)) == hash(StepControl(1e-6, 1e-3))
+    assert TrainResult(True, 0.5, 2) == TrainResult(True, 0.5, 2)
+
+
 def test_gauss_newton_solves_scalar_decay():
     basis = sample_basis(0.0, 1.0, 40, 1, SeededRng(0))
     seg = SegmentSolution(basis=basis, alpha=np.array([1.0]), weights=np.zeros((40, 1)), x_stop=1.0)
