@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import _integer, _real
+
 _MASK64 = (1 << 64) - 1
 _XS_MULT = 0x2545F4914F6CDD1D
 _DOUBLE_SCALE = 1.0 / (1 << 53)
@@ -42,7 +44,9 @@ class SeededRng:
         self._state = _splitmix64(self.seed) or 0x9E3779B97F4A7C15
 
     def uniform(self, low: float, high: float, size=None):
-        """Draw i.i.d. uniforms from [low, high); scalar when size is None."""
+        """Draw i.i.d. uniforms from [low, high), both finite; scalar when size is None."""
+        _real("low", low)
+        _real("high", high)
         if not high > low:
             raise ValueError(f"empty interval [{low}, {high})")
         n = 1 if size is None else int(np.prod(size))
@@ -82,19 +86,18 @@ class RbfSegmentBasis:
     inv_sq_widths: np.ndarray
 
     def __post_init__(self):
-        if self.h < 1 or self.m < 1:
-            raise ValueError(f"need h >= 1 and m >= 1, got h={self.h}, m={self.m}")
-        if not self.width > 0:
-            raise ValueError(f"segment width must be positive, got {self.width}")
+        _integer("h", self.h, 1)
+        _integer("m", self.m, 1)
+        _real("width", self.width, "positive")
         if self.centers.shape != (self.h,):
             raise ValueError(f"centers must have shape ({self.h},)")
         if self.biases.shape != (self.h, self.m):
             raise ValueError(f"biases must have shape ({self.h}, {self.m})")
         if self.inv_sq_widths.shape != (self.h, self.m):
             raise ValueError(f"inv_sq_widths must have shape ({self.h}, {self.m})")
-        params = (self.x_start, self.width, self.centers, self.biases, self.inv_sq_widths)
+        params = (self.x_start, self.centers, self.biases, self.inv_sq_widths)
         if not all(np.all(np.isfinite(v)) for v in params):
-            raise ValueError("x_start, width, centers, biases and inv_sq_widths must be finite")
+            raise ValueError("x_start, centers, biases and inv_sq_widths must be finite")
         if not np.all(self.inv_sq_widths > 0):
             raise ValueError("inverse squared widths must be strictly positive")
 
@@ -119,12 +122,10 @@ def sample_basis(x_start: float, delta_x: float, h: int, m: int, rng: SeededRng)
     1/sigma^2 itself would pile most nodes at the narrow end and lose the
     broad, smooth bumps the approximation quality rests on.
     """
-    if h < 2:
-        raise ValueError(f"need at least 2 hidden nodes for center spacing, got h={h}")
-    if m < 1:
-        raise ValueError(f"need m >= 1 components, got m={m}")
-    if not delta_x > 0:
-        raise ValueError(f"interval width must be positive, got {delta_x}")
+    _integer("h", h, 2)
+    _integer("m", m, 1)
+    _real("x_start", x_start)
+    _real("delta_x", delta_x, "positive")
     centers = np.linspace(x_start, x_start + delta_x, h)
     biases = rng.uniform(-delta_x / 6.0, 0.0, size=(h, m))
     sigma = rng.uniform(np.sqrt(2.0 / 81.0) * delta_x, np.sqrt(8.0 / 3.0) * delta_x, size=(h, m))

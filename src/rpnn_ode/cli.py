@@ -18,7 +18,7 @@ from contextlib import nullcontext
 
 import numpy as np
 
-from .errors import NumericError, StepUnderflowError
+from .errors import NumericError, StepUnderflowError, _integer
 from .metrics import METHODS, RunReport, report_to_dict, run_benchmark, run_cell
 from .problems import BENCHMARK_NAMES, canonical_name, make_benchmark
 from .serialize import SolutionFormatError, load_solution, save_solution
@@ -51,9 +51,10 @@ def _parse_points(text: str) -> np.ndarray:
 def _grid_size(text: str) -> int:
     """argparse type of --grid-size: an integer of at least 1."""
     size = int(text)
-    if size < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {size}")
-    return size
+    try:
+        return _integer("grid size", size, 1)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _build_problem(args):

@@ -53,12 +53,11 @@ its steps' terms, and unsorted points are scattered from one block of scratch.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, StepUnderflowError
+from .errors import NumericError, StepUnderflowError, _real
 from .problems import OdeProblem, initial_rhs
 from .trial import _BLOCK_VALUES, _walk_points
 
@@ -107,17 +106,15 @@ _MAX_STEPS = 5_000_000
 
 @dataclass(frozen=True)
 class StepControl:
-    """Error tolerances shared by both integrators: positive finite real numbers,
-    else ValueError naming the field."""
+    """Error tolerances shared by both integrators: abs_tol and rel_tol, each
+    finite and > 0; any other value raises ValueError naming the field."""
 
     abs_tol: float
     rel_tol: float
 
     def __post_init__(self):
-        for name in ("abs_tol", "rel_tol"):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and 0 < value < np.inf):
-                raise ValueError(f"{name}: tolerance must be positive and finite, got {value!r}")
+        _real("abs_tol: tolerance", self.abs_tol, "positive")
+        _real("rel_tol: tolerance", self.rel_tol, "positive")
 
 
 @dataclass(frozen=True, eq=False)

@@ -62,7 +62,7 @@ import threading
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import NumericError, _real
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -137,13 +137,13 @@ def _truncated_svd(a: np.ndarray, rcond: float | None):
     """Thin SVD of a checked matrix on one BLAS thread, and the kept mask.
 
     The mask keeps sigma > rcond * sigma_max; rcond=None means
-    max(rows, cols) * machine epsilon.  ValueError for a NaN, infinite or
-    negative rcond, before the SVD runs.
+    max(rows, cols) * machine epsilon, else rcond is finite and >= 0;
+    ValueError for any other value, before the SVD runs.
     """
     if rcond is None:
         rcond = max(a.shape) * _EPS
-    elif not 0 <= rcond < np.inf:
-        raise ValueError(f"rcond must be nonnegative and finite, got {rcond}")
+    else:
+        _real("rcond", rcond, "nonnegative")
     try:
         with _one_blas_thread():
             u, s, vt = np.linalg.svd(a, full_matrices=False)

@@ -16,13 +16,13 @@ plus ``schema_version``; the CLI's summary CSV rows are read from that form.
 
 from __future__ import annotations
 
-import numbers
 import time
 from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
+from .errors import _integer
 from .integrators import StepControl, dp45_solve, sdirk_solve
 from .problems import OdeProblem
 from .solver import SolverConfig, solve_adaptive
@@ -36,12 +36,13 @@ _GRID_SIZES = {"prothero_robinson": 3000, "rober": 20000, "hires": 150000}
 _FALLBACK_GRID = 1000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ErrorMetrics:
     """Per-component error norms over a fixed grid.
 
     l2 is the unnormalized vector 2-norm of the pointwise differences, linf
-    the largest absolute difference, mae their mean.
+    the largest absolute difference, mae their mean.  Compared and hashed by
+    identity, as its array fields give no truth value.
     """
 
     l2: np.ndarray
@@ -123,7 +124,7 @@ def metric_grid(problem: OdeProblem, size: int | None = None) -> np.ndarray:
     """Equidistant grid of `size` points over the problem domain, both endpoints
     included; :func:`default_grid_size` points for None, ValueError unless size
     is None or an integer >= 1."""
-    size = default_grid_size(problem) if size is None else _positive_int("grid size", size)
+    size = default_grid_size(problem) if size is None else _integer("grid size", size, 1)
     return np.linspace(problem.x0, problem.x_end, size)
 
 
@@ -135,20 +136,12 @@ def reference_solution(problem: OdeProblem) -> Evaluable:
     return sdirk_solve(problem, StepControl(abs_tol=REFERENCE_TOL, rel_tol=REFERENCE_TOL))
 
 
-def _positive_int(name: str, value) -> int:
-    """value as an int; ValueError naming it unless it is an integer (Python or
-    numpy) >= 1."""
-    if not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError(f"need an integer {name} >= 1, got {value!r}")
-    return int(value)
-
-
 def _timed(fn, repeats: int):
     """Run fn `repeats` times; returns (first result, TimingSummary).
 
     Raises ValueError, before the first run, unless `repeats` is an integer >= 1.
     """
-    repeats = _positive_int("repeats", repeats)
+    repeats = _integer("repeats", repeats, 1)
     result = None
     times = []
     for r in range(repeats):
@@ -209,7 +202,7 @@ def run_benchmark(
     string, a bad `tol`, `seed`, `repeats`, `grid_size` or an unknown method
     raises ValueError before any reference is built.
     """
-    _positive_int("repeats", repeats)
+    _integer("repeats", repeats, 1)
     if isinstance(methods, str):
         raise ValueError(f"methods must be a sequence of names from {METHODS}, got {methods!r}")
     unknown = set(methods) - set(METHODS)

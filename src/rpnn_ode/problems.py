@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import NumericError, _integer, _real
 
 RhsFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 JacFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -28,6 +28,8 @@ JacFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 class OdeProblem:
     """First-order system y' = f(x, y) with y(x0) = alpha, posed on [x0, x_end].
 
+    m >= 1 components (stored as int); x0 and x_end finite, x0 < x_end; alpha
+    of shape (m,).  Any other value raises ValueError naming the field.
     ``rhs`` and ``ode_jacobian`` are vectorized over points.  Given abscissae
     x of shape (k,) and states y of shape (k, m), ``rhs`` returns f at the k
     points, shape (k, m), and ``ode_jacobian`` the partials d f_i / d y_k,
@@ -55,10 +57,11 @@ class OdeProblem:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"system dimension must be >= 1, got {self.m}")
-        if not -math.inf < self.x0 < self.x_end < math.inf:
-            raise ValueError(f"need finite x0 < x_end, got [{self.x0}, {self.x_end}]")
+        object.__setattr__(self, "m", _integer("m", self.m, 1))
+        _real("x0", self.x0)
+        _real("x_end", self.x_end)
+        if not self.x0 < self.x_end:
+            raise ValueError(f"need x0 < x_end, got [{self.x0}, {self.x_end}]")
         alpha = np.atleast_1d(np.asarray(self.alpha, dtype=float))
         if alpha.shape != (self.m,):
             raise ValueError(f"alpha must have shape ({self.m},), got {alpha.shape}")
@@ -99,9 +102,6 @@ def _jacobian_block(template: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _prothero_robinson(lam: float) -> OdeProblem:
-    if not -math.inf < lam < 0:
-        raise ValueError(f"lambda must be finite and negative, got {lam}")
-
     def rhs(x, y):
         (y1,) = _components(y)
         return np.array([lam * (y1 - np.sin(x)) + np.cos(x)]).T
@@ -126,8 +126,6 @@ def _prothero_robinson(lam: float) -> OdeProblem:
 
 
 def _van_der_pol(mu: float) -> OdeProblem:
-    if not 0 < mu < math.inf:
-        raise ValueError(f"mu must be finite and positive, got {mu}")
     template = np.array([[0.0, 1.0], [0.0, 0.0]])
 
     def rhs(x, y):
@@ -255,28 +253,25 @@ def canonical_name(name: str) -> str:
 def make_benchmark(name: str, **params) -> OdeProblem:
     """Build one of the four benchmark problems by name or alias.
 
-    ``prothero_robinson`` accepts ``lam`` (default -1e5, must be negative) and
-    ``van_der_pol`` accepts ``mu`` (default 1000, must be positive); the other
-    problems take no parameters.  Unknown names or parameters, and parameter
-    values that are not real numbers or out of range, raise ValueError.
+    ``prothero_robinson`` accepts ``lam`` (default -1e5), finite and < 0, and
+    ``van_der_pol`` accepts ``mu`` (default 1000), finite and > 0; the other
+    problems take no parameters.  Unknown names or parameters, and any other
+    parameter value, raise ValueError.
     """
     key = canonical_name(name)
     if key == "prothero_robinson":
-        return _prothero_robinson(_only_param(key, params, "lam", DEFAULT_LAMBDA))
+        return _prothero_robinson(_only_param(key, params, "lam", DEFAULT_LAMBDA, "negative"))
     if key == "van_der_pol":
-        return _van_der_pol(_only_param(key, params, "mu", DEFAULT_MU))
+        return _van_der_pol(_only_param(key, params, "mu", DEFAULT_MU, "positive"))
     _reject_extra(key, params)
     return _rober() if key == "rober" else _hires()
 
 
-def _only_param(key: str, params: dict, name: str, default: float) -> float:
-    """Problem key's one parameter, as a float; raises ValueError for any other."""
+def _only_param(key: str, params: dict, name: str, default: float, sign: str) -> float:
+    """Problem key's one parameter, as a finite float of the given sign, else ValueError."""
     value = params.pop(name, default)
     _reject_extra(key, params)
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} must be a real number, got {value!r}") from None
+    return _real(name, value, sign)
 
 
 def _reject_extra(name: str, params: dict) -> None:

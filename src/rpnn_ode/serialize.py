@@ -11,6 +11,7 @@ import json
 import numpy as np
 
 from .basis import RbfSegmentBasis
+from .errors import _integer
 from .solver import PiecewiseSolution
 from .trial import SegmentSolution
 
@@ -75,12 +76,12 @@ def solution_from_dict(data: dict) -> PiecewiseSolution:
             )
         return PiecewiseSolution(
             problem_name=str(data["problem"]),
-            m=int(data["m"]),
+            m=_integer("m", data["m"], 1),
             x0=float(data["x0"]),
             x_end=float(data["x_end"]),
             segments=tuple(segments),
-            iterations=tuple(int(i) for i in data["iterations"]),
-            total_points=int(data["total_points"]),
+            iterations=tuple(_integer("iterations", i, 0) for i in data["iterations"]),
+            total_points=_integer("total_points", data["total_points"], 1),
         )
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         if isinstance(exc, SolutionFormatError):

@@ -20,7 +20,6 @@ the width rule.
 
 from __future__ import annotations
 
-import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -28,7 +27,7 @@ import numpy as np
 
 from .basis import SeededRng, sample_basis
 from .collocation import assemble_jacobian, assemble_residual, make_grid
-from .errors import NumericError, StepUnderflowError
+from .errors import NumericError, StepUnderflowError, _integer, _real
 from .leastnorm import truncated_pinv_solve
 from .problems import OdeProblem, initial_rhs
 from .trial import SegmentSolution, _block_len, _walk_points, trial_eval
@@ -40,12 +39,12 @@ _MIN_WIDTH_FACTOR = 2.0**-30  # width floor, relative to the whole domain
 class SolverConfig:
     """Training parameters.
 
-    h hidden nodes per component, n collocation points per segment, residual
-    tolerance tol, Gauss-Newton iteration cap maxiter and the basis seed.  h,
-    n, maxiter and seed must be integers (Python or numpy; stored as int), tol
-    a real number; anything else raises ValueError naming the field.  The
-    method relies on the underdetermined regime h > n; smaller h is allowed
-    but warns.  Frozen, so the checks hold for the config's life; derive a
+    h >= 2 hidden nodes per component, n >= 1 collocation points per segment,
+    residual tolerance tol, finite and > 0, Gauss-Newton iteration cap
+    maxiter >= 1 and the basis seed, any integer; any other value raises
+    ValueError naming the field.  The counts are stored as int.  The method
+    relies on the underdetermined regime h > n; smaller h is allowed but
+    warns.  Frozen, so the checks hold for the config's life; derive a
     variant with ``dataclasses.replace``, which checks it again.
     """
 
@@ -56,19 +55,9 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("h", "n", "maxiter", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        if self.h < 2:
-            raise ValueError(f"need h >= 2 hidden nodes, got {self.h}")
-        if self.n < 1:
-            raise ValueError(f"need n >= 1 collocation points, got {self.n}")
-        if not (isinstance(self.tol, numbers.Real) and 0 < self.tol < np.inf):
-            raise ValueError(f"tol: tolerance must be positive and finite, got {self.tol!r}")
-        if self.maxiter < 1:
-            raise ValueError(f"need maxiter >= 1, got {self.maxiter}")
+        for name, minimum in (("h", 2), ("n", 1), ("maxiter", 1), ("seed", None)):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), minimum))
+        _real("tol: tolerance", self.tol, "positive")
         if self.h <= self.n:
             warnings.warn(
                 f"h={self.h} <= n={self.n} leaves the collocation system overdetermined; "

@@ -27,6 +27,11 @@ def test_rng_scalar_and_shapes():
     assert m.shape == (3, 4)
     with pytest.raises(ValueError):
         rng.uniform(1.0, 1.0)
+    # used to return [inf inf inf], and NaNs with a RuntimeWarning
+    with pytest.raises(ValueError, match="high"):
+        rng.uniform(0.0, math.inf, 3)
+    with pytest.raises(ValueError, match="low"):
+        rng.uniform(-math.inf, 0.0, 2)
 
 
 def test_sample_basis_centers_span_interval():
@@ -70,6 +75,12 @@ def test_sample_basis_validation():
         sample_basis(0.0, 1.0, 4, 0, rng)
     with pytest.raises(ValueError):
         sample_basis(0.0, 0.0, 4, 1, rng)
+    # each used to fail in a draw or in numpy, or after the draws
+    for args, field in (((0.0, math.inf, 4, 1), "delta_x"), ((math.inf, 1.0, 4, 1), "x_start"),
+                        ((0.0, 1.0, 4.0, 1), "h"), ((0.0, 1.0, 4, 1.0), "m")):
+        with pytest.raises(ValueError, match=field):
+            sample_basis(*args, rng)
+    assert rng.uniform(0.0, 1.0) == SeededRng(0).uniform(0.0, 1.0)  # nothing was drawn
 
 
 def test_rbf_value_examples():

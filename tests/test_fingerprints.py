@@ -46,3 +46,14 @@ def test_differing_lists_changed_and_one_sided_cases(fingerprints):
     base = {"a": "1", "b": "2", "c": "3"}
     assert fingerprints.differing(base, dict(base)) == []
     assert fingerprints.differing(base, {"a": "1", "b": "9", "d": "4"}) == ["b", "c", "d"]
+
+
+def test_an_unknown_base_rev_reports_the_failing_git_command():
+    # used to end in a bare CalledProcessError traceback, without git's message
+    run = subprocess.run([sys.executable, str(SCRIPT), "--base", "no-such-rev", "--problem", "pr",
+                          "--tol", "1e-3", "--method", "sdirk"],
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode != 0
+    assert "git archive --format=tar no-such-rev" in run.stderr
+    assert "exited with status" in run.stderr and "Traceback" not in run.stderr
+    assert run.stdout == ""

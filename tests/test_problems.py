@@ -132,6 +132,7 @@ def test_make_benchmark_rejects_non_finite_parameters(name, params):
 @pytest.mark.parametrize("name, param, value", [
     ("vdp", "mu", None),
     ("vdp", "mu", "fast"),
+    ("vdp", "mu", "100"),  # used to be accepted as 100.0
     ("pr", "lam", [1]),
     ("pr", "lam", {"lam": -1.0}),
 ])
@@ -178,6 +179,14 @@ def test_problem_constructor_validation():
         OdeProblem(name="b", m=1, x0=1.0, x_end=1.0, alpha=np.array([0.0]), **kwargs)
     with pytest.raises(ValueError):
         OdeProblem(name="b", m=2, x0=0.0, x_end=1.0, alpha=np.array([0.0]), **kwargs)
+    # m=1.0 and a 0-d array x0 used to fail only in a solve, strings with TypeError
+    for field, value in (("m", 1.0), ("m", "1"), ("x0", "0"), ("x0", np.array(0.0)),
+                         ("x_end", "1"), ("x_end", np.array(1.0))):
+        fields = dict(name="b", m=1, x0=0.0, x_end=1.0, alpha=np.array([0.0]), **kwargs)
+        with pytest.raises(ValueError, match=field):
+            OdeProblem(**{**fields, field: value})
+    problem = OdeProblem(name="b", m=np.int64(1), x0=0, x_end=1, alpha=[0.0], **kwargs)
+    assert type(problem.m) is int
 
 
 @pytest.mark.parametrize("x0, x_end", [(0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0), (0.0, math.nan)])

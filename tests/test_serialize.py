@@ -64,6 +64,15 @@ def test_malformed_inputs_rejected(tmp_path, rober_solution):
     with pytest.raises(SolutionFormatError):
         solution_from_dict(data)
 
+    # each used to load, truncated by int()
+    iterations = solution_to_dict(rober_solution)["iterations"]
+    for field, value in (("m", rober_solution.m + 0.7), ("total_points", 20.9),
+                         ("total_points", "20"), ("iterations", [2.5, *iterations[1:]])):
+        data = solution_to_dict(rober_solution)
+        data[field] = value
+        with pytest.raises(SolutionFormatError, match=field):
+            solution_from_dict(data)
+
 
 @pytest.mark.parametrize("field, value", [
     ("weights", math.nan),

@@ -9,13 +9,16 @@ import pytest
 
 from oracles import broadcast_eval, paper_driver
 from rpnn_ode import (
+    ErrorMetrics,
     OdeProblem,
     PiecewiseSolution,
+    RunReport,
     SeededRng,
     SegmentSolution,
     SolverConfig,
     StepControl,
     StepUnderflowError,
+    TimingSummary,
     assemble_residual,
     dense_eval,
     dp45_solve,
@@ -97,12 +100,21 @@ def test_array_dataclasses_compare_and_hash_by_identity():
         "segment": lambda: solve_adaptive(make_benchmark("pr"), SolverConfig(tol=1e-3)).segments[0],
         "basis": lambda: sample_basis(0.0, 1.0, 4, 3, SeededRng(5)),
         "trajectory": lambda: dp45_solve(make_benchmark("hires"), ctrl),
+        "metrics": lambda: ErrorMetrics(np.ones(2), np.ones(2), np.ones(2), 5),
     }
     for kind, make in build.items():
         first, second = make(), make()
         assert first == first and first != second, kind
         assert {first: kind, second: kind}[first] == kind
         assert hash(first) != hash(second), kind
+    # a report compares its metrics by identity
+    times = TimingSummary(1.0, 1.0, 1.0, 1)
+    metrics = ErrorMetrics(np.ones(2), np.ones(2), np.ones(2), 5)
+    report = dict(problem="pr", params={}, method="rpnn", tol=1e-3, seed=0, n_points=1,
+                  n_segments=1, times=times)
+    assert RunReport(**report, metrics=metrics) == RunReport(**report, metrics=metrics)
+    assert RunReport(**report, metrics=metrics) != RunReport(
+        **report, metrics=ErrorMetrics(np.ones(2), np.ones(2), np.ones(2), 5))
     # the scalar-only dataclasses keep value equality
     assert SolverConfig(tol=1e-3) == SolverConfig(tol=1e-3)
     assert hash(StepControl(1e-6, 1e-3)) == hash(StepControl(1e-6, 1e-3))

@@ -42,15 +42,23 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def run(cmd: list[str], cwd: Path = ROOT) -> bytes:
+    """The stdout of cmd run in cwd; when cmd fails, exits with the command, its
+    exit status and its stderr."""
+    proc = subprocess.run(cmd, cwd=cwd, capture_output=True)
+    if proc.returncode != 0:
+        sys.exit(f"{' '.join(cmd)} (in {cwd}) exited with status {proc.returncode}:\n"
+                 + proc.stderr.decode(errors="replace").rstrip())
+    return proc.stdout
+
+
 def git(*args: str) -> str:
-    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
-                          text=True).stdout.strip()
+    return run(["git", *args]).decode().strip()
 
 
 def export(rev: str, dest: Path) -> None:
     """Write the files of rev into dest."""
-    tar = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT, check=True,
-                         capture_output=True).stdout
+    tar = run(["git", "archive", "--format=tar", rev])
     with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
         archive.extractall(dest, filter="data")
 
@@ -72,10 +80,7 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """One perfbench run in tree: its result line and the rounds of its run record."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {proc.returncode}:\n{proc.stderr}")
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    result = json.loads(run(cmd, cwd=tree).decode().strip().splitlines()[-1])
     record = json.loads((tree / "perfbench" / "out" / f"{workload}-seed{seed}-trace0.json")
                         .read_text())
     return {

@@ -23,14 +23,15 @@ mu=100 and Prothero-Robinson lam=-1e5, at tol 1e-3 and 1e-6; ``--problem``,
 ``--base REV`` exports REV's files into a temporary directory, as
 ``tools/bench_pairs.export`` does, runs the same cases on its ``src/`` in a
 child process, and lists the cases whose fingerprints differ; the exit status
-is 1 when any does.  Only numpy and the package under test are imported.
+is 1 when any does.  When ``git archive`` or the child fails, the command, its
+exit status and its stderr are printed and the exit status is 1.  Only numpy
+and the package under test are imported.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -119,15 +120,14 @@ def main(argv=None) -> int:
     base = None
     if args.base is not None:
         sys.path.insert(0, str(Path(__file__).resolve().parent))
-        from bench_pairs import export
+        from bench_pairs import export, run
 
         flags = [arg for key, values in picks.items()
                  for value in values for arg in (f"--{key}", str(value))]
         with tempfile.TemporaryDirectory() as tmp:
             export(args.base, Path(tmp))
-            child = subprocess.run([sys.executable, __file__, "--src", str(Path(tmp) / "src"),
-                                    *flags], check=True, capture_output=True, text=True)
-        base = parse(child.stdout)
+            base = parse(run([sys.executable, __file__, "--src", str(Path(tmp) / "src"),
+                              *flags]).decode())
     head = fingerprints(picks["problem"], picks["tol"], picks["seed"], picks["method"], args.src)
     for case, value in head.items():
         print(f"{case} {value}", flush=True)
