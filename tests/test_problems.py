@@ -132,9 +132,9 @@ def test_make_benchmark_rejects_non_finite_parameters(name, params):
 @pytest.mark.parametrize("name, param, value", [
     ("vdp", "mu", None),
     ("vdp", "mu", "fast"),
-    ("vdp", "mu", "100"),  # used to be accepted as 100.0
     ("pr", "lam", [1]),
     ("pr", "lam", {"lam": -1.0}),
+    ("vdp", "mu", "100"),  # used to be accepted as 100.0
 ])
 def test_make_benchmark_rejects_a_parameter_that_is_not_a_number(name, param, value):
     with pytest.raises(ValueError, match=f"{param} must be a real number"):
