@@ -35,12 +35,13 @@ class SeededRng:
     output is the top 53 bits of ``x * 0x2545F4914F6CDD1D`` scaled to [0, 1).
     The seed passes through one splitmix64 scramble so nearby seeds give
     unrelated streams.  Identical seeds yield bitwise-identical streams on
-    every platform.  Instances hold mutable state and must not be shared
-    between threads.
+    every platform.  The seed is any integer (Python or numpy), taken modulo
+    2^64; any other value raises ValueError naming it.  Instances hold
+    mutable state and must not be shared between threads.
     """
 
     def __init__(self, seed: int):
-        self.seed = int(seed) & _MASK64
+        self.seed = _integer("seed", seed) & _MASK64
         self._state = _splitmix64(self.seed) or 0x9E3779B97F4A7C15
 
     def uniform(self, low: float, high: float, size=None):

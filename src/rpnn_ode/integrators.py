@@ -381,7 +381,11 @@ def dense_eval(traj: Trajectory, x) -> np.ndarray:
     in about half the time of strided terms and a new array per pass (HIRES,
     2-vCPU Xeon).  The scratch grows by the block's step terms, at most one
     row per point.  Each operation acts on one point or step, so the values
-    are bit for bit one pass's.
+    are bit for bit one pass's.  The walk stays on the calling thread: split
+    between two threads as ``eval_solution`` does, its many short numpy calls
+    per 2,048-point block queue on the interpreter lock, and a 150,001-point
+    HIRES evaluation (sdirk at 1e-8, 369 steps) took 19.6 ms against 13.8 ms
+    on one (medians of eight interleaved runs, 2-vCPU Xeon).
     """
     t, y, f = traj.abscissae, traj.states, traj.derivatives
     m = y.shape[1]

@@ -30,7 +30,7 @@ from .collocation import assemble_jacobian, assemble_residual, make_grid
 from .errors import NumericError, StepUnderflowError, _integer, _real
 from .leastnorm import truncated_pinv_solve
 from .problems import OdeProblem, initial_rhs
-from .trial import SegmentSolution, _block_len, _walk_points, trial_eval
+from .trial import _WORKERS, SegmentSolution, _block_len, _walk_points, trial_eval
 
 _MIN_WIDTH_FACTOR = 2.0**-30  # width floor, relative to the whole domain
 
@@ -251,10 +251,16 @@ def eval_solution(sol: PiecewiseSolution, x) -> np.ndarray:
     interior knots both neighbours agree exactly by construction.  The points
     go through ``trial._walk_points`` in the blocks of ``trial_eval`` (8,192
     for HIRES), which evaluates each segment's run of a block into its rows.
-    Beyond the blocks of ``trial``, sorted points (every metric grid) need one
-    byte per point, and other points 16 bytes per point and one block of rows.
-    Raises ValueError when x has more than one dimension, or when a point
-    lies outside [x0, x_end] or is NaN.
+    Where the process may run on two or more CPUs (``trial._WORKERS`` is 2)
+    and x has at least two blocks, a worker thread evaluates the second half
+    of the blocks while the caller evaluates the first; the thread has ended
+    when the call returns or raises.  Each row depends on its own point only,
+    and each half writes its own rows, so the values are bitwise those of one
+    thread.  Beyond the blocks of ``trial``, of which each walker holds its
+    own, sorted points (every metric grid) need one byte per point, and other
+    points 16 bytes per point and one block of rows per walker.  Raises
+    ValueError when x has more than one dimension, or when a point lies
+    outside [x0, x_end] or is NaN.
     """
 
     def fill(block, first, counts, rows):
@@ -264,4 +270,4 @@ def eval_solution(sol: PiecewiseSolution, x) -> np.ndarray:
             trial_eval(sol.segments[first + k], block[run], out=rows[run])
 
     size = _block_len(sol.segments[0].basis.h, sol.m)  # the segments of a solve share h
-    return _walk_points(x, sol.knots, "right", sol.m, size, fill)
+    return _walk_points(x, sol.knots, "right", sol.m, size, fill, _WORKERS)

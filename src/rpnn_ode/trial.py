@@ -48,10 +48,26 @@ passes over 8,192-point rows cost about 2.3 ns per node value, and one
 ``eval_solution`` of the 150,001-point HIRES grid took 0.13-0.18 s against
 0.25 s with 204-point blocks; ROBER, van der Pol and Prothero-Robinson,
 whose segments are mostly short, did not get slower.
+
+Two walkers.  Where the process may use two or more CPUs, ``eval_solution``
+walks a call of two or more blocks on two threads: the caller takes the
+first half of the blocks and one worker thread the second, which the caller
+joins before it returns or raises (``_walk_points``).  The numpy passes
+release the interpreter lock, so the halves run at once: on the 150,001-point
+HIRES grid an evaluation took 99 ms against 152 ms on one thread, shuffled
+124 ms against 166 ms (medians of six interleaved runs, 2-vCPU Xeon).  Every
+output row depends on its own point only, each walker writes only its own
+rows and keeps its own scratch (a slab, a sum and, for unsorted points, one
+block of rows), and a block is cut the same way on either thread, so the
+values are the one-thread values bit for bit.  A scalar or
+one-block call starts no thread.  The block size stays: halving it to fit
+both walkers' scratch in L2 cache lost the whole gain.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +75,9 @@ import numpy as np
 from .basis import RbfSegmentBasis
 
 _BLOCK_VALUES = 1 << 16  # values per scratch array: 512 KiB of float64
+# walkers of an eval_solution call: the caller and at most one thread
+_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
 
 
 @dataclass(eq=False)
@@ -95,7 +114,8 @@ class SegmentSolution:
         return self.basis.x_start
 
 
-def _walk_points(x, knots: np.ndarray, side: str, m: int, size: int, fill) -> np.ndarray:
+def _walk_points(x, knots: np.ndarray, side: str, m: int, size: int, fill,
+                 workers: int = 1) -> np.ndarray:
     """Values at x in [knots[0], knots[-1]]: (m,) for scalar x, (k, m) for k points.
 
     The point walk of both dense evaluators.  Raises ValueError when x has
@@ -108,6 +128,14 @@ def _walk_points(x, knots: np.ndarray, side: str, m: int, size: int, fill) -> np
     of ``size`` points into rows, counts[j] of them (perhaps 0) in interval
     first + j; rows is the block's slice of the output for sorted points,
     else one block of scratch that is scattered into place.
+
+    With ``workers`` >= 2 and at least two blocks, the blocks are split into
+    two contiguous halves: one ``threading.Thread`` walks the second half
+    while the caller walks the first, then the caller joins it and re-raises
+    what it raised.  Each walker has its own block of scatter scratch and
+    writes only its own rows of the output, and fill sees the same blocks as
+    with one walker, so the output is the same bit for bit.  fill must then
+    be safe to call from two threads at once on disjoint rows.
     """
     xs = np.asarray(x, dtype=float)
     if xs.ndim > 1:
@@ -123,17 +151,41 @@ def _walk_points(x, knots: np.ndarray, side: str, m: int, size: int, fill) -> np
     bounds = np.searchsorted(pts, knots, side=side)
     bounds[0], bounds[-1] = 0, len(pts)
     out = np.empty((len(pts), m))
-    buf = None if order is None else np.empty((min(size, len(pts)), m))
-    for start in range(0, len(pts), size):
-        block = pts[start : start + size]
-        stop = start + len(block)
-        first = np.searchsorted(bounds, start, side="right") - 1
-        last = np.searchsorted(bounds, stop - 1, side="right")
-        counts = np.diff(np.clip(bounds[first : last + 1], start, stop))
-        rows = out[start:stop] if order is None else buf[: len(block)]
-        fill(block, first, counts, rows)
-        if order is not None:
-            out[order[start:stop]] = rows
+
+    def walk(starts):
+        buf = None if order is None else np.empty((min(size, len(pts)), m))
+        for start in starts:
+            block = pts[start : start + size]
+            stop = start + len(block)
+            first = np.searchsorted(bounds, start, side="right") - 1
+            last = np.searchsorted(bounds, stop - 1, side="right")
+            counts = np.diff(np.clip(bounds[first : last + 1], start, stop))
+            rows = out[start:stop] if order is None else buf[: len(block)]
+            fill(block, first, counts, rows)
+            if order is not None:
+                out[order[start:stop]] = rows
+
+    starts = range(0, len(pts), size)
+    if workers < 2 or len(starts) < 2:
+        walk(starts)
+    else:
+        half = len(starts) // 2
+        raised = []
+
+        def work():
+            try:
+                walk(starts[half:])
+            except BaseException as exc:  # re-raised by the caller after the join
+                raised.append(exc)
+
+        worker = threading.Thread(target=work, name="rpnn-eval")
+        worker.start()
+        try:
+            walk(starts[:half])
+        finally:
+            worker.join()
+        if raised:
+            raise raised.pop()  # popped: the list would tie the traceback's frames in a cycle
     return out[0] if xs.ndim == 0 else out
 
 

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -37,3 +39,17 @@ def reference_cache():
         return cache[key]
 
     return get
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """The threads started through ``threading.Thread`` during the test, in order."""
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Counted)
+    return started

@@ -19,6 +19,19 @@ def test_rng_determinism_and_range():
     assert abs(a.mean() - 0.5) < 0.05
 
 
+@pytest.mark.parametrize("seed", [1.5, "7", math.nan])
+def test_rng_rejects_a_seed_that_is_not_an_integer(seed):
+    # 1.5 and "7" used to draw the streams of seeds 1 and 7
+    with pytest.raises(ValueError, match="seed"):
+        SeededRng(seed)
+
+
+def test_rng_takes_a_numpy_integer_seed_as_the_python_one():
+    want = SeededRng(3).uniform(0.0, 1.0, size=50)
+    assert np.array_equal(SeededRng(np.int64(3)).uniform(0.0, 1.0, size=50), want)
+    assert SeededRng(np.uint8(3)).seed == 3 and SeededRng(-1).seed == 2**64 - 1
+
+
 def test_rng_scalar_and_shapes():
     rng = SeededRng(7)
     x = rng.uniform(-2.0, 3.0)

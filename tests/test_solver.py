@@ -672,6 +672,26 @@ def test_eval_solution_of_the_benchmarks_is_bitwise_the_masked_broadcast_formula
         assert np.array_equal(eval_solution(sol, ys), masked_broadcast_eval(sol, ys)), seed
 
 
+@pytest.mark.parametrize("name", ["hires", "rober", "vdp", "pr"])
+def test_eval_solution_on_two_walkers_gives_the_bits_of_one(monkeypatch, solved, thread_starts,
+                                                            name):
+    sol = solved(name, 0)
+    block = 512  # 40 blocks on 20,001 points, where the metric grid of ROBER is one
+    monkeypatch.setattr(trial_module, "_BLOCK_VALUES",
+                        block * (sol.segments[0].basis.h if sol.m == 1 else sol.m))
+    xs = np.linspace(sol.x0, sol.x_end, 20_001)
+    ys = np.concatenate([xs, sol.knots])
+    for pts in (xs, ys[np.random.default_rng(0).permutation(len(ys))]):
+        monkeypatch.setattr(solver_module, "_WORKERS", 1)
+        one = eval_solution(sol, pts)
+        assert not thread_starts
+        monkeypatch.setattr(solver_module, "_WORKERS", 2)
+        two = eval_solution(sol, pts)
+        assert len(thread_starts) == 1 and not thread_starts.pop().is_alive()
+        assert np.array_equal(one, two)
+        assert eval_solution(sol, pts[:block]).shape == (block, sol.m) and not thread_starts
+
+
 def test_concurrent_evaluations_each_get_the_serial_bits():
     sols = [random_piecewise(70 + m, m, n_segments=3) for m in (1, 2, 3, 8)]
     xs = [np.linspace(sol.x0, sol.x_end, 60_000) for sol in sols]
@@ -713,7 +733,7 @@ def test_dense_evaluation_of_hires_stays_within_its_scratch_budget(solved):
     xs = np.linspace(sol.x0, sol.x_end, 150_001)
     block_bytes = 8 * trial_module._BLOCK_VALUES
     budget = (8 * sol.m * len(xs)  # the result
-              + 2 * block_bytes  # one node's slab and the sum over nodes
+              + trial_module._WORKERS * 2 * block_bytes  # each walker's slab and sum over nodes
               + len(xs)  # the order check, one byte per point
               + 2**20)
     peak = _peak_bytes_of_evaluation(sol, xs)
@@ -721,15 +741,17 @@ def test_dense_evaluation_of_hires_stays_within_its_scratch_budget(solved):
 
 
 def shuffled_scratch_budget(sol, n: int) -> int:
-    """Bytes an evaluation of n unsorted points may hold: the output, the sort
-    and one block of rows beside the blocks of ``trial``, with 512 KiB to spare."""
+    """Bytes an evaluation of n unsorted points may hold: the output, the sort,
+    and per walker one block of rows beside the blocks of ``trial``, with 512 KiB
+    to spare."""
     block_bytes = 8 * trial_module._BLOCK_VALUES
     rows = trial_module._block_len(sol.segments[0].basis.h, sol.m)
     return (8 * sol.m * n  # the result
             + 16 * n  # the sort order and the sorted points
             + n  # the order check, one byte per point
-            + 8 * sol.m * rows  # one block of rows, scattered into the result
-            + (1 if sol.m == 1 else 2) * block_bytes  # the (k, h) block; or a slab and the sum
+            + trial_module._WORKERS * (
+                8 * sol.m * rows  # one block of rows, scattered into the result
+                + (1 if sol.m == 1 else 2) * block_bytes)  # the (k, h) block; or a slab and sum
             + 2**19)
 
 

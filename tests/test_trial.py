@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -286,3 +287,66 @@ def test_point_walk_hands_each_block_its_intervals_and_scatters_it_back(side):
     assert trial_module._walk_points(2.5, knots, side, 2, 4, fill).shape == (2,)
     assert trial_module._walk_points(np.empty(0), knots, side, 2, 4, fill).shape == (0, 2)
     assert sizes == [1]
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_a_split_walk_fills_the_same_blocks_in_two_halves(thread_starts, side):
+    knots = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
+    rng = np.random.default_rng(1)
+    pts = np.concatenate([knots, rng.uniform(0.0, 4.0, 25)])
+    seen = {}
+
+    def fill(block, first, counts, rows):
+        seen.setdefault(threading.get_ident(), []).append(block[0])
+        rows[:, 0] = block
+        rows[:, 1] = np.repeat(np.arange(first, first + len(counts)), counts)
+
+    for xs in (np.sort(pts), pts[rng.permutation(len(pts))]):
+        want = trial_module._walk_points(xs, knots, side, 2, 4, fill)
+        assert len(seen) == 1 and not thread_starts
+        seen.clear()
+        got = trial_module._walk_points(xs, knots, side, 2, 4, fill, workers=2)
+        assert np.array_equal(got, want)
+        # 8 blocks: the caller walks the first four, one thread the last four
+        caller = seen.pop(threading.get_ident())
+        (worker,) = seen.values()
+        assert caller == list(np.sort(pts)[0:16:4]) and worker == list(np.sort(pts)[16::4])
+        assert len(thread_starts) == 1 and not thread_starts.pop().is_alive()
+        seen.clear()
+
+
+def test_a_walk_of_one_block_or_a_scalar_starts_no_thread(thread_starts):
+    knots = np.array([0.0, 1.0, 2.0])
+
+    def fill(block, first, counts, rows):
+        rows[:] = block[:, None]
+
+    assert trial_module._walk_points(1.5, knots, "right", 1, 4, fill, workers=2) == 1.5
+    for count in (0, 1, 4):
+        xs = np.linspace(0.0, 2.0, count)
+        got = trial_module._walk_points(xs[::-1], knots, "right", 1, 4, fill, workers=2)
+        assert np.array_equal(got[:, 0], xs[::-1])
+    assert not thread_starts
+    trial_module._walk_points(np.linspace(0.0, 2.0, 5), knots, "right", 1, 4, fill, workers=2)
+    assert len(thread_starts) == 1
+
+
+@pytest.mark.parametrize("failing_half", ["worker", "caller", "both"])
+def test_an_error_in_either_half_reaches_the_caller_and_leaves_no_thread(failing_half):
+    knots = np.array([0.0, 1.0])
+    xs = np.linspace(0.0, 1.0, 40)  # ten blocks of 4: the worker walks from x = 20/39 on
+    caller = threading.get_ident()
+
+    def fill(block, first, counts, rows):
+        in_worker = threading.get_ident() != caller
+        if failing_half == "both" or in_worker == (failing_half == "worker"):
+            raise ZeroDivisionError(f"failed at {block[0]}")
+        rows[:] = 0.0
+
+    before = threading.active_count()
+    for order in (slice(None), slice(None, None, -1)):
+        with pytest.raises(ZeroDivisionError, match="failed at") as info:
+            trial_module._walk_points(xs[order], knots, "left", 1, 4, fill, workers=2)
+        assert threading.active_count() == before
+        if failing_half == "worker":
+            assert str(info.value) == f"failed at {xs[20]}"
