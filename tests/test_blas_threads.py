@@ -17,6 +17,7 @@ from rpnn_ode import (
     leastnorm,
     make_benchmark,
     solve_adaptive,
+    solver,
     truncated_pinv_solve,
 )
 
@@ -129,6 +130,16 @@ def test_concurrent_solves_restore_the_thread_count(two_threads):
         sys.setswitchinterval(interval)
     assert not any(w.is_alive() for w in workers)
     assert len(results) == 6 * 40 and all(results)
+    assert get() == 2
+
+
+@needs_openblas
+def test_a_solve_that_trains_on_a_worker_restores_the_thread_count(monkeypatch, two_threads,
+                                                                   thread_starts):
+    get, _ = two_threads
+    monkeypatch.setattr(solver, "_WORKERS", 2)
+    solve_adaptive(make_benchmark("rober"), SolverConfig(tol=1e-3, seed=0))
+    assert len(thread_starts) == 1 and not thread_starts[0].is_alive()
     assert get() == 2
 
 

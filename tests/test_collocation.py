@@ -168,6 +168,43 @@ def test_jacobian_matches_finite_differences(name, params):
         assert np.abs(jac - jac_fd).max() <= 1e-6 * scale
 
 
+def test_jacobian_is_bitwise_the_einsum_form_signed_zeros_included():
+    # an ODE Jacobian with +0.0 and -0.0 entries: every zero product of the
+    # chain-rule part comes out as -0.0, as -einsum gives it
+    p = OdeProblem(name="signed zeros", m=3, x0=0.0, x_end=1.0, alpha=np.ones(3),
+                   rhs=lambda x, y: -y,
+                   ode_jacobian=lambda x, y: np.array([[-1.0, 0.0, -0.0],
+                                                       [-0.0, 2.0, 0.0],
+                                                       [0.5, -0.0, -3.0]]))
+    h, n = 5, 4
+    basis = sample_basis(0.0, 1.0, h, 3, SeededRng(8))
+    seg = SegmentSolution(basis=basis, alpha=np.ones(3),
+                          weights=SeededRng(9).uniform(-1.0, 1.0, (h, 3)), x_stop=1.0)
+    grid = make_grid(0.0, 1.0, n)
+    g, gx = basis._gaussians_and_dx(grid)
+    ramp = (grid - 0.0)[:, None, None]
+    jf = np.broadcast_to(p.ode_jacobian(grid, None), (n, 3, 3))
+    want = -np.einsum("lik,ljk->ilkj", jf, ramp * g)
+    want[np.arange(3), :, np.arange(3), :] += (g + ramp * gx).transpose(2, 0, 1)
+    jac = assemble_jacobian(p, seg, grid)
+    assert jac.tobytes() == want.reshape(n * 3, 3 * h).tobytes()
+    assert np.count_nonzero((jac == 0.0) & np.signbit(jac)) == 5 * n * h  # the five zeros of jf
+
+
+def test_assemblies_use_an_attempts_basis_values_only_on_its_own_grid():
+    p = make_benchmark("rober")
+    basis = sample_basis(0.0, 1e-3, 6, 3, SeededRng(10))
+    seg = SegmentSolution(basis=basis, alpha=p.alpha.copy(),
+                          weights=SeededRng(11).uniform(-1.0, 1.0, (6, 3)), x_stop=1e-3)
+    grid = make_grid(0.0, 1e-3, 4)
+    want = [f(p, seg, grid).tobytes() for f in (assemble_residual, assemble_jacobian)]
+    seg._grid_terms = (grid, *basis._gaussians_and_dx(grid))
+    assert [f(p, seg, grid).tobytes() for f in (assemble_residual, assemble_jacobian)] == want
+    seg._grid_terms = (grid, np.zeros((4, 6, 3)), np.zeros((4, 6, 3)))  # stale values
+    assert assemble_residual(p, seg, grid.copy()).tobytes() == want[0]  # another grid object
+    assert assemble_residual(p, seg, grid).tobytes() != want[0]
+
+
 def test_jacobian_kronecker_structure_for_decoupled_system():
     # f_i depends only on y_i: cross component blocks are exactly zero
     rates = np.array([-1.0, -2.0])

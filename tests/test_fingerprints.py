@@ -31,6 +31,17 @@ def test_one_pr_case_prints_a_fingerprint_per_solve_and_evaluation(fingerprints)
     assert len(set(printed.values())) == len(printed)
     # the same cases in this process give the same bits
     assert fingerprints.fingerprints(["pr"], [1e-3], [0], ["rpnn", "sdirk"]) == printed
+    assert run.stdout.splitlines()[-1] == fingerprints.workers_line()
+
+
+def test_the_workers_line_says_when_the_threaded_paths_did_not_run(fingerprints, monkeypatch):
+    from rpnn_ode import trial
+
+    monkeypatch.setattr(trial, "_WORKERS", 2)
+    assert fingerprints.workers_line() == "# workers 2"
+    monkeypatch.setattr(trial, "_WORKERS", 1)
+    assert fingerprints.workers_line().startswith("# workers 1 (one usable CPU")
+    assert fingerprints.parse("a b 1\n# workers 1 (one usable CPU)\n") == {"a b": "1"}
 
 
 def test_digest_covers_dtype_shape_and_bytes(fingerprints):

@@ -1,7 +1,10 @@
+import collections
 import dataclasses
 import math
+import random
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -443,24 +446,27 @@ def test_no_step_underflow_on_benchmarks(name, params, tol):
 
 
 def count_training_calls(monkeypatch) -> list:
-    """Count the solver's residual, Jacobian and pinv-solve calls; returns a list
-    that gets (iterations, residuals, Jacobians, solves) of each training run."""
-    counts = dict.fromkeys(("assemble_residual", "assemble_jacobian", "truncated_pinv_solve"), 0)
+    """Count the solver's residual, Jacobian and pinv-solve calls per thread;
+    returns a list that gets (iterations, residuals, Jacobians, solves) of each
+    training run, whichever thread ran it."""
+    names = ("assemble_residual", "assemble_jacobian", "truncated_pinv_solve")
+    counts = collections.defaultdict(lambda: dict.fromkeys(names, 0))  # by thread
 
     def counted(name, fn):
         def wrapper(*args):
-            counts[name] += 1
+            counts[threading.get_ident()][name] += 1
             return fn(*args)
         return wrapper
 
-    for name in counts:
+    for name in names:
         monkeypatch.setattr(solver_module, name, counted(name, getattr(solver_module, name)))
     train, attempts = solver_module.gauss_newton_train, []
 
     def recording(*args):
-        before = dict(counts)
+        mine = counts[threading.get_ident()]
+        before = dict(mine)
         result = train(*args)
-        attempts.append((result.iterations, *(counts[k] - before[k] for k in counts)))
+        attempts.append((result.iterations, *(mine[k] - before[k] for k in names)))
         return result
 
     monkeypatch.setattr(solver_module, "gauss_newton_train", recording)
@@ -494,6 +500,129 @@ def test_solve_adaptive_is_bitwise_the_paper_driver(name, params, seed, monkeypa
                          (seg.basis.biases, ref.basis.biases),
                          (seg.basis.inv_sq_widths, ref.basis.inv_sq_widths)):
                 assert a.tobytes() == b.tobytes()
+
+
+def solve_fingerprint(sol) -> tuple:
+    """Every array of a solve that the bitwise tests compare, as bytes."""
+    return (sol.knots.tobytes(), sol.iterations, sol.total_points,
+            *(a.tobytes() for seg in sol.segments
+              for a in (seg.weights, seg.alpha, seg.basis.centers, seg.basis.biases,
+                        seg.basis.inv_sq_widths)))
+
+
+def sleep_in_training(monkeypatch, seed: int) -> None:
+    """Sleep 0-2 ms, at random, before every Jacobian of the caller and the worker."""
+    jacobian, draws = solver_module.assemble_jacobian, random.Random(seed)
+
+    def sleepy(*args):
+        time.sleep(draws.uniform(0.0, 0.002))
+        return jacobian(*args)
+
+    monkeypatch.setattr(solver_module, "assemble_jacobian", sleepy)
+
+
+@pytest.mark.parametrize("tol", [1e-3, 1e-6])
+@pytest.mark.parametrize("name,params", [
+    ("hires", {}), ("rober", {}), ("vdp", {"mu": 100.0}), ("pr", {"lam": -1e5}),
+])
+def test_the_halved_attempts_on_a_worker_give_the_bits_of_one_thread(monkeypatch, thread_starts,
+                                                                      name, params, tol):
+    problem = make_benchmark(name, **params)
+    for seed in range(3):
+        config = SolverConfig(tol=tol, seed=seed)
+        monkeypatch.setattr(solver_module, "_WORKERS", 1)
+        want = solve_fingerprint(solve_adaptive(problem, config))
+        assert not thread_starts
+        monkeypatch.setattr(solver_module, "_WORKERS", 2)
+        assert solve_fingerprint(solve_adaptive(problem, config)) == want, seed
+        with monkeypatch.context() as patch:
+            sleep_in_training(patch, seed)
+            assert solve_fingerprint(solve_adaptive(problem, config)) == want, seed
+        assert len(thread_starts) == 2 and not any(t.is_alive() for t in thread_starts)
+        thread_starts.clear()
+
+
+def test_no_thread_is_alive_after_a_return_or_a_step_underflow(monkeypatch, thread_starts):
+    monkeypatch.setattr(solver_module, "_WORKERS", 2)
+    sol = solve_adaptive(make_benchmark("rober"), SolverConfig(tol=1e-3, seed=0))
+    assert sol.segments[-1].x_stop == sol.x_end
+    assert len(thread_starts) == 1 and not thread_starts.pop().is_alive()
+    bad = OdeProblem(name="hopeless", m=1, x0=0.0, x_end=1.0, alpha=np.zeros(1),
+                     rhs=lambda x, y: np.where(np.asarray(x)[..., None] > 0.0, np.nan, 0.0),
+                     ode_jacobian=lambda x, y: np.array([[np.nan]]))
+    monkeypatch.setattr(solver_module, "_MIN_WIDTH_FACTOR", 2.0**-6)
+    attempts = count_training_calls(monkeypatch)
+    with pytest.raises(StepUnderflowError, match="underflow"):
+        solve_adaptive(bad, SolverConfig(tol=1e-6, seed=0))
+    assert len(attempts) == 7  # widths 1 to 2^-6, of which the worker trained three
+    assert len(thread_starts) == 1 and not thread_starts.pop().is_alive()
+
+
+def test_an_error_of_the_caller_abandons_the_pending_halved_attempt(monkeypatch, thread_starts):
+    monkeypatch.setattr(solver_module, "_WORKERS", 2)
+    caller, train, halved = threading.get_ident(), solver_module.gauss_newton_train, []
+    started = threading.Event()
+
+    def caller_fails(*args):
+        if threading.get_ident() == caller:
+            assert started.wait(timeout=60)
+            raise ZeroDivisionError("the caller's attempt failed")
+        started.set()
+        assert args[1]._abandoned.wait(timeout=60)  # by the caller's error, before a step
+        halved.append(train(*args))
+        return halved[-1]
+
+    monkeypatch.setattr(solver_module, "gauss_newton_train", caller_fails)
+    with pytest.raises(ZeroDivisionError, match="caller's attempt"):
+        solve_adaptive(make_benchmark("hires"), SolverConfig(tol=1e-6, seed=0))
+    assert len(thread_starts) == 1 and not thread_starts.pop().is_alive()
+    # abandoned before its first step: one residual, no Gauss-Newton step
+    assert [(r.converged, r.iterations) for r in halved] == [(False, 0)]
+
+
+@pytest.mark.parametrize("used", [True, False])
+def test_an_error_of_the_halved_attempt_is_raised_if_used_and_dropped_if_abandoned(
+        monkeypatch, thread_starts, used):
+    # the hopeless problem's first attempt fails, so the halved one is used;
+    # the flat problem's converges, so the halved one is abandoned
+    monkeypatch.setattr(solver_module, "_WORKERS", 2)
+    caller, train, raised = threading.get_ident(), solver_module.gauss_newton_train, threading.Event()
+    problem = OdeProblem(name="hopeless", m=1, x0=0.0, x_end=1.0, alpha=np.zeros(1),
+                         rhs=lambda x, y: np.where(np.asarray(x)[..., None] > 0.0, np.nan, 0.0),
+                         ode_jacobian=lambda x, y: np.array([[np.nan]])) if used else FLAT
+
+    def halved_fails(*args):
+        if threading.get_ident() != caller:
+            raised.set()
+            raise ZeroDivisionError("the halved attempt failed")
+        assert raised.wait(timeout=60)  # the caller's result comes after the worker raised
+        return train(*args)
+
+    monkeypatch.setattr(solver_module, "gauss_newton_train", halved_fails)
+    config = SolverConfig(tol=1e-8, seed=0)
+    if used:
+        with pytest.raises(ZeroDivisionError, match="halved attempt"):
+            solve_adaptive(problem, config)
+    else:
+        sol = solve_adaptive(problem, config)
+        monkeypatch.setattr(solver_module, "_WORKERS", 1)
+        monkeypatch.setattr(solver_module, "gauss_newton_train", train)
+        assert solve_fingerprint(sol) == solve_fingerprint(solve_adaptive(problem, config))
+    assert len(thread_starts) == 1 and not thread_starts.pop().is_alive()
+
+
+def test_with_one_usable_cpu_a_solve_starts_no_thread(monkeypatch, thread_starts):
+    monkeypatch.setattr(solver_module, "_WORKERS", 1)
+    solve_adaptive(make_benchmark("rober"), SolverConfig(tol=1e-3, seed=0))
+    assert not thread_starts
+
+
+def test_a_solve_leaves_no_attempt_state_on_its_segments(monkeypatch):
+    for workers in (1, 2):
+        monkeypatch.setattr(solver_module, "_WORKERS", workers)
+        sol = solve_adaptive(make_benchmark("rober"), SolverConfig(tol=1e-3, seed=0))
+        for seg in sol.segments:
+            assert not hasattr(seg, "_grid_terms") and not hasattr(seg, "_abandoned")
 
 
 def test_rober_conservation():

@@ -15,6 +15,12 @@ hex digits of a SHA-256 over the case's arrays (dtype, shape and bytes):
 * ``... eval-sorted`` and ``... eval-shuffled``: the solution evaluated on
   the problem's metric grid, in order and permuted (numpy seed 0).
 
+After the cases, a line ``# workers <k>`` gives the number of threads that
+the solves and evaluations could use (``trial._WORKERS``: 2 where the
+process may run on two or more CPUs, else 1).  With 1, no solve trained a
+halved attempt on a worker thread and no evaluation was split, so a bitwise
+check run there does not cover the threaded paths; the line then says so.
+
 A solve that raises is fingerprinted by its exception's type and message,
 and then has no evaluation cases.  The problems are HIRES, ROBER, van der Pol
 mu=100 and Prothero-Robinson lam=-1e5, at tol 1e-3 and 1e-6; ``--problem``,
@@ -96,8 +102,16 @@ def fingerprints(problems, tols, seeds, methods, src: Path = ROOT / "src") -> di
 
 
 def parse(text: str) -> dict[str, str]:
-    """The fingerprints printed by this script, back as a dict."""
-    return dict(line.rsplit(" ", 1) for line in text.splitlines() if line.strip())
+    """The fingerprints printed by this script, back as a dict; ``#`` lines are skipped."""
+    return dict(line.rsplit(" ", 1) for line in text.splitlines()
+                if line.strip() and not line.startswith("#"))
+
+
+def workers_line() -> str:
+    """The ``# workers`` line for the rpnn_ode that this process imported."""
+    workers = sys.modules["rpnn_ode"].trial._WORKERS
+    return f"# workers {workers}" + ("" if workers > 1 else
+                                     " (one usable CPU: the worker-thread paths did not run)")
 
 
 def differing(base: dict[str, str], head: dict[str, str]) -> list[str]:
@@ -131,6 +145,7 @@ def main(argv=None) -> int:
     head = fingerprints(picks["problem"], picks["tol"], picks["seed"], picks["method"], args.src)
     for case, value in head.items():
         print(f"{case} {value}", flush=True)
+    print(workers_line(), flush=True)
     if base is None:
         return 0
     cases = differing(base, head)
