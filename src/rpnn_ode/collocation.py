@@ -50,20 +50,13 @@ def make_grid(x_start: float, delta_x: float, n: int) -> np.ndarray:
 def _trial_on_points(problem: OdeProblem, seg: SegmentSolution, grid):
     """Points xs and the trial terms at them: g, dg/dx (n, h, m), ramp x - x_start
     (n, 1), node sums N and psi = alpha + ramp*N (n, m).  ValueError unless xs is
-    a non-empty 1-d array (no points: a residual of norm 0) and the m agree.
-
-    g and dg/dx depend on the basis and the points only.  A training attempt
-    (``solver._attempt``) computes them once on its grid and keeps them in
-    ``seg._grid_terms`` as (grid, g, dg/dx) while it trains; they are used
-    when grid is that same object.
-    """
+    a non-empty 1-d array (no points: a residual of norm 0) and the m agree."""
     xs = np.asarray(grid, dtype=float)
     if xs.ndim != 1 or len(xs) < 1:
         raise ValueError(f"collocation points must be a non-empty 1-d array, got {xs.shape}")
     if problem.m != seg.basis.m:
         raise ValueError(f"problem dimension {problem.m} is not the segment's {seg.basis.m}")
-    terms = getattr(seg, "_grid_terms", None)
-    g, gx = terms[1:] if terms is not None and terms[0] is grid else seg.basis._gaussians_and_dx(xs)
+    g, gx = seg.basis._gaussians_and_dx(xs)
     ramp = (xs - seg.x_start)[:, None]
     n_vals = (g * seg.weights).sum(axis=1)
     return xs, g, gx, ramp, n_vals, seg.alpha + ramp * n_vals

@@ -43,7 +43,11 @@ class OdeProblem:
     floats, for speed; a user callback need not.  ``analytic``, when present,
     maps an array of abscissae to a (len(x), m) array of exact solution
     values.  Instances are immutable and safe to share between threads.
-    They compare and hash by identity, so a problem can be a dict key.
+    Where the process may use two CPUs, ``solve_adaptive`` may call ``rhs``
+    and ``ode_jacobian`` from two threads at once, also for attempts whose
+    result it drops (``solver``), so user callbacks must be thread-safe: no
+    shared ``out=`` buffer, counter or cache without a lock.  They compare and hash by
+    identity, so a problem can be a dict key.
     """
 
     name: str

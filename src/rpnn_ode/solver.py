@@ -20,10 +20,10 @@ width policy in place of the width rule.
 Halved attempts on a worker.  The attempt that follows a failure is known
 before the failure happens: the same start, half the width, the next basis
 in the rng stream.  So where the process may use two or more CPUs
-(``trial._WORKERS``), one worker thread per solve trains it while the caller
-trains the current attempt: right after the current basis is drawn, the rng
+(``trial._WORKERS``) and the attempts are large enough (below), one worker
+thread per solve trains it while the caller trains the current attempt: right after the current basis is drawn, the rng
 is copied, and the worker draws the halved basis from the copy and trains
-it (``_Halved``), while the halved width is at or above the floor.  If the
+it (``_halved``), while the halved width is at or above the floor.  If the
 current attempt fails, the driver takes the worker's segment and result and
 continues with the copied rng; if it converges, the worker's attempt is
 abandoned at its next Gauss-Newton step, and the driver goes on without
@@ -31,9 +31,24 @@ waiting.  Every attempt the driver uses is the one the one-thread driver
 would make, from the same rng state, and trains on its own segment and
 grid, so every basis, weight and knot is bit for bit the same; the SVDs run
 with OpenBLAS on one thread either way (``leastnorm``).  On HIRES at tol
-1e-6, seed 0, the worker runs 38 of the 114 SVDs of a solve that the
-caller would otherwise wait for (24 of 104 on ROBER).  The worker has ended when the solve returns or
-raises, and an error of a halved attempt is raised only if it is used.
+1e-6, seed 0, the worker runs 38 of the 114 SVDs of a solve that the caller
+would otherwise wait for (24 of 104 on ROBER).  The worker has ended when
+the solve returns or raises, and an error of a halved attempt is raised only
+if it is used.  So the problem's ``rhs`` and ``ode_jacobian`` run on two
+threads at once, also for attempts that are then dropped, and must be safe
+to call that way (``OdeProblem``).
+
+The worker pays only where the SVD, which runs without the interpreter
+lock, is most of an attempt's time.  In smaller attempts most of the time
+goes to short numpy calls that hold the lock, so the two threads slow each
+other, and the worker trains no attempt when the Gauss-Newton Jacobian, (n*m)
+x (m*h), has fewer than ``_WORKER_MIN_JACOBIAN`` entries.  Measured at tol
+1e-6, seed 0, on a 2-vCPU Xeon, solve time with the worker against without,
+at about 50 % failed attempts in every case: HIRES (160 x 320, 51,200
+entries) -17 %; at 28,800 entries ROBER, van der Pol mu=100 and HIRES -7 to
+-17 %; at 12,800 to 16,200 entries +3 to +36 %; at the default
+``SolverConfig`` ROBER (7,200 entries) +20 %, van der Pol mu=100 (3,200)
++37 % and Prothero-Robinson lam=-1e5 (800) +59 %.
 """
 
 from __future__ import annotations
@@ -41,7 +56,6 @@ from __future__ import annotations
 import copy
 import threading
 import warnings
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,10 +65,11 @@ from .collocation import assemble_jacobian, assemble_residual, make_grid
 from .errors import NumericError, StepUnderflowError, _integer, _real
 from .leastnorm import truncated_pinv_solve
 from .problems import OdeProblem, initial_rhs
-from .trial import (_WORKERS, SegmentSolution, _block_len, _walk_points, _worker_thread,
-                    trial_eval)
+from .trial import _WORKERS, SegmentSolution, _block_len, _one_worker, _walk_points, trial_eval
 
 _MIN_WIDTH_FACTOR = 2.0**-30  # width floor, relative to the whole domain
+_WORKER_MIN_JACOBIAN = 24_000  # Jacobian entries from which a solve trains on a worker
+_current = threading.local()  # .abandoned: the Event that stops this thread's attempt, or None
 
 
 @dataclass(frozen=True)
@@ -162,8 +177,8 @@ def _residual(problem: OdeProblem, seg: SegmentSolution, grid: np.ndarray):
 def _step(problem: OdeProblem, seg: SegmentSolution, grid: np.ndarray, resid: np.ndarray):
     """The Gauss-Newton step -pinv(dF/dW) F as an (h, m) array, or None when the
     Jacobian or its solve cannot be computed (NumericError) or the attempt has
-    been abandoned (``_Halved``)."""
-    abandoned = getattr(seg, "_abandoned", None)
+    been abandoned (``_attempt``)."""
+    abandoned = getattr(_current, "abandoned", None)
     if abandoned is not None and abandoned.is_set():
         return None
     try:
@@ -226,57 +241,24 @@ def _segment(problem: OdeProblem, config: SolverConfig, rng: SeededRng, x_start:
 
 def _attempt(problem: OdeProblem, config: SolverConfig, seg: SegmentSolution,
              abandoned: threading.Event | None = None) -> TrainResult:
-    """Gauss-Newton on seg's n-point collocation grid.
-
-    The Gaussians and their x-derivatives on the grid are computed once, for
-    every residual and Jacobian of the attempt, and are dropped with it.  Once
-    ``abandoned`` is set, the attempt stops at its next step.
-    """
-    grid = make_grid(seg.x_start, seg.basis.width, config.n)
-    seg._grid_terms = (grid, *seg.basis._gaussians_and_dx(grid))
-    seg._abandoned = abandoned
+    """Gauss-Newton on seg's n-point collocation grid; once ``abandoned`` is set,
+    the attempt stops at its next step."""
+    _current.abandoned = abandoned
     try:
+        grid = make_grid(seg.x_start, seg.basis.width, config.n)
         return gauss_newton_train(problem, seg, grid, config.tol, config.maxiter)
     finally:
-        del seg._grid_terms, seg._abandoned
+        _current.abandoned = None
 
 
-class _Halved:
-    """The attempt that follows a failure of the current one, trained on the worker.
-
-    Made on the caller right after the current attempt's basis is drawn: rng
-    is copied then, so the halved basis, drawn from the copy when the worker
-    runs the attempt, is the one that the driver would draw after the
-    failure.  ``result()`` waits for the attempt and returns (seg, result),
-    or raises what it raised.  ``abandon()`` stops it at its next step and
-    drops what it returns or raises.
-    """
-
-    def __init__(self, problem, config, rng, x_start, width, alpha):
-        self.rng = copy.copy(rng)
-        self._args = (problem, config, self.rng, x_start, width, x_start + width, alpha)
-        self._abandoned, self._done = threading.Event(), threading.Event()
-        self._outcome = self._error = None
-
-    def __call__(self):
-        try:
-            if not self._abandoned.is_set():
-                seg = _segment(*self._args)
-                self._outcome = seg, _attempt(self._args[0], self._args[1], seg, self._abandoned)
-        except BaseException as exc:  # raised by result(), or dropped with the attempt
-            self._error = exc
-        finally:
-            self._done.set()
-
-    def abandon(self):
-        self._abandoned.set()
-
-    def result(self):
-        self._done.wait()
-        error, self._error = self._error, None  # no cycle through the traceback's frames
-        if error is not None:
-            raise error
-        return self._outcome
+def _halved(problem: OdeProblem, config: SolverConfig, rng: SeededRng, x_start: float,
+            width: float, alpha: np.ndarray, abandoned: threading.Event):
+    """The worker's attempt on [x_start, x_start + width] with a basis drawn from
+    rng: (seg, result), or None when abandoned before it started."""
+    if abandoned.is_set():
+        return None
+    seg = _segment(problem, config, rng, x_start, width, x_start + width, alpha)
+    return seg, _attempt(problem, config, seg, abandoned)
 
 
 def solve_adaptive(problem: OdeProblem, config: SolverConfig) -> PiecewiseSolution:
@@ -286,56 +268,50 @@ def solve_adaptive(problem: OdeProblem, config: SolverConfig) -> PiecewiseSoluti
     the classical integrators do: no width could train from there.  Raises
     StepUnderflowError when repeated halving pushes the interval width below
     ``_MIN_WIDTH_FACTOR`` * (x_end - x0), with ``_MIN_WIDTH_FACTOR`` = 2^-30.
-    Where the process may run on two or more CPUs (``trial._WORKERS`` is 2),
-    one worker thread trains the halved attempts (module docstring); it has
-    ended when the call returns or raises.
+    Where the process may run on two or more CPUs (``trial._WORKERS`` is 2)
+    and the Jacobian has at least ``_WORKER_MIN_JACOBIAN`` entries, one
+    worker thread trains the halved attempts (module docstring); it has
+    ended when the call returns or raises.  problem.rhs and
+    problem.ode_jacobian are then called from the caller and the worker at
+    once, also for halved attempts that are dropped, so they must be
+    thread-safe: a callback that writes into a shared buffer or keeps a
+    counter or cache without a lock can race.  The results stay those of one
+    thread as long as each call's result depends on its arguments only.
     """
     initial_rhs(problem)
-    if _WORKERS < 2:
+    if _WORKERS < 2 or config.n * problem.m * problem.m * config.h < _WORKER_MIN_JACOBIAN:
         return _drive(problem, config, None)
-    jobs, ready = deque(), threading.Semaphore(0)
-
-    def submit(job):
-        jobs.append(job)
-        ready.release()
-
-    def serve():
-        while ready.acquire() and (job := jobs.popleft()) is not None:
-            job()
-
-    with _worker_thread(serve, "rpnn-train"):
-        try:
-            return _drive(problem, config, submit)
-        finally:
-            submit(None)
+    with _one_worker("rpnn-train") as worker:
+        return _drive(problem, config, worker)
 
 
-def _drive(problem: OdeProblem, config: SolverConfig, submit) -> PiecewiseSolution:
-    """The width rule of ``solve_adaptive``; ``submit(job)``, when given, runs a
-    ``_Halved`` job on the worker thread."""
+def _drive(problem: OdeProblem, config: SolverConfig, worker) -> PiecewiseSolution:
+    """The width rule of ``solve_adaptive``; ``worker``, an executor or None,
+    trains the halved attempts."""
     rng = SeededRng(config.seed)
     span = problem.x_end - problem.x0
     floor = _MIN_WIDTH_FACTOR * span
     x_star, alpha, width = problem.x0, problem.alpha.copy(), span
     segments: list[SegmentSolution] = []
     iterations: list[int] = []
-    halved = None  # the worker's attempt at half the current width
+    halved = abandon = spare = None  # the worker's attempt at half the width, its stop, its rng
     try:
         while x_star < problem.x_end:
             remaining = problem.x_end - x_star
             width = min(width, remaining)
             x_stop = problem.x_end if width == remaining else x_star + width  # tile exactly
             if halved is not None:  # the current attempt failed: the worker's is next
-                (seg, result), rng, halved = halved.result(), halved.rng, None
+                (seg, result), rng, halved = halved.result(), spare, None
             else:
                 seg = _segment(problem, config, rng, x_star, width, x_stop, alpha)
-                if submit is not None and 0.5 * width >= floor:
-                    halved = _Halved(problem, config, rng, x_star, 0.5 * width, alpha)
-                    submit(halved)
+                if worker is not None and 0.5 * width >= floor:
+                    spare, abandon = copy.copy(rng), threading.Event()
+                    halved = worker.submit(_halved, problem, config, spare, x_star, 0.5 * width,
+                                           alpha, abandon)
                 result = _attempt(problem, config, seg)
             if result.converged:
                 if halved is not None:
-                    halved.abandon()
+                    abandon.set()
                     halved = None
                 segments.append(seg)
                 iterations.append(result.iterations)
@@ -351,7 +327,7 @@ def _drive(problem: OdeProblem, config: SolverConfig, submit) -> PiecewiseSoluti
                     last_error=err)
     finally:
         if halved is not None:
-            halved.abandon()
+            abandon.set()
     return PiecewiseSolution(
         problem_name=problem.name,
         m=problem.m,

@@ -51,8 +51,8 @@ whose segments are mostly short, did not get slower.
 
 Two walkers.  Where the process may use two or more CPUs, ``eval_solution``
 walks a call of two or more blocks on two threads: the caller takes the
-first half of the blocks and one worker thread the second, which the caller
-joins before it returns or raises (``_walk_points``).  The numpy passes
+first half of the blocks and one worker thread the second, which has ended
+before the call returns or raises (``_walk_points``).  The numpy passes
 release the interpreter lock, so the halves run at once: on the 150,001-point
 HIRES grid an evaluation took 99 ms against 152 ms on one thread, shuffled
 124 ms against 166 ms (medians of six interleaved runs, 2-vCPU Xeon).  Every
@@ -66,9 +66,7 @@ both walkers' scratch in L2 cache lost the whole gain.
 
 from __future__ import annotations
 
-import contextlib
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,9 +129,9 @@ def _walk_points(x, knots: np.ndarray, side: str, m: int, size: int, fill,
     else one block of scratch that is scattered into place.
 
     With ``workers`` >= 2 and at least two blocks, the blocks are split into
-    two contiguous halves: one worker thread (``_worker_thread``) walks the
-    second half while the caller walks the first, then the caller joins it
-    and re-raises what it raised.  Each walker has its own block of scatter scratch and
+    two contiguous halves: one worker thread (``_one_worker``) walks the
+    second half while the caller walks the first.  The caller then waits for
+    it and re-raises what it raised, unless the caller raised first.  Each walker has its own block of scatter scratch and
     writes only its own rows of the output, and fill sees the same blocks as
     with one walker, so the output is the same bit for bit.  fill must then
     be safe to call from two threads at once on disjoint rows.
@@ -171,34 +169,24 @@ def _walk_points(x, knots: np.ndarray, side: str, m: int, size: int, fill,
         walk(starts)
     else:
         half = len(starts) // 2
-        with _worker_thread(lambda: walk(starts[half:]), "rpnn-eval"):
+        with _one_worker("rpnn-eval") as worker:
+            second = worker.submit(walk, starts[half:])
             walk(starts[:half])
+            second.result()
     return out[0] if xs.ndim == 0 else out
 
 
-@contextlib.contextmanager
-def _worker_thread(target, name: str):
-    """Run target() on one new thread while the body of the ``with`` runs.
+def _one_worker(name: str):
+    """A ``ThreadPoolExecutor`` of one thread named after name.
 
-    The thread is joined when the body ends, also when the body raises; then
-    what target raised is re-raised, unless the body raised first.
+    Used as a context manager, its thread has ended when the ``with`` block
+    ends, also when the block raises.  concurrent.futures is imported here,
+    on the first threaded call: it takes about 7 ms, which ``import rpnn_ode``
+    does not pay.
     """
-    raised = []
+    from concurrent.futures import ThreadPoolExecutor
 
-    def run():
-        try:
-            target()
-        except BaseException as exc:  # re-raised by the caller after the join
-            raised.append(exc)
-
-    worker = threading.Thread(target=run, name=name)
-    worker.start()
-    try:
-        yield
-    finally:
-        worker.join()
-    if raised:
-        raise raised.pop()  # popped: the list would tie the traceback's frames in a cycle
+    return ThreadPoolExecutor(1, thread_name_prefix=name)
 
 
 def _block_len(h: int, m: int) -> int:

@@ -138,6 +138,7 @@ def test_a_solve_that_trains_on_a_worker_restores_the_thread_count(monkeypatch, 
                                                                    thread_starts):
     get, _ = two_threads
     monkeypatch.setattr(solver, "_WORKERS", 2)
+    monkeypatch.setattr(solver, "_WORKER_MIN_JACOBIAN", 0)
     solve_adaptive(make_benchmark("rober"), SolverConfig(tol=1e-3, seed=0))
     assert len(thread_starts) == 1 and not thread_starts[0].is_alive()
     assert get() == 2

@@ -191,20 +191,6 @@ def test_jacobian_is_bitwise_the_einsum_form_signed_zeros_included():
     assert np.count_nonzero((jac == 0.0) & np.signbit(jac)) == 5 * n * h  # the five zeros of jf
 
 
-def test_assemblies_use_an_attempts_basis_values_only_on_its_own_grid():
-    p = make_benchmark("rober")
-    basis = sample_basis(0.0, 1e-3, 6, 3, SeededRng(10))
-    seg = SegmentSolution(basis=basis, alpha=p.alpha.copy(),
-                          weights=SeededRng(11).uniform(-1.0, 1.0, (6, 3)), x_stop=1e-3)
-    grid = make_grid(0.0, 1e-3, 4)
-    want = [f(p, seg, grid).tobytes() for f in (assemble_residual, assemble_jacobian)]
-    seg._grid_terms = (grid, *basis._gaussians_and_dx(grid))
-    assert [f(p, seg, grid).tobytes() for f in (assemble_residual, assemble_jacobian)] == want
-    seg._grid_terms = (grid, np.zeros((4, 6, 3)), np.zeros((4, 6, 3)))  # stale values
-    assert assemble_residual(p, seg, grid.copy()).tobytes() == want[0]  # another grid object
-    assert assemble_residual(p, seg, grid).tobytes() != want[0]
-
-
 def test_jacobian_kronecker_structure_for_decoupled_system():
     # f_i depends only on y_i: cross component blocks are exactly zero
     rates = np.array([-1.0, -2.0])

@@ -502,6 +502,12 @@ def test_solve_adaptive_is_bitwise_the_paper_driver(name, params, seed, monkeypa
                 assert a.tobytes() == b.tobytes()
 
 
+def on_the_worker(monkeypatch) -> None:
+    """Solve as on two usable CPUs, training halved attempts on the worker at any size."""
+    monkeypatch.setattr(solver_module, "_WORKERS", 2)
+    monkeypatch.setattr(solver_module, "_WORKER_MIN_JACOBIAN", 0)
+
+
 def solve_fingerprint(sol) -> tuple:
     """Every array of a solve that the bitwise tests compare, as bytes."""
     return (sol.knots.tobytes(), sol.iterations, sol.total_points,
@@ -533,7 +539,7 @@ def test_the_halved_attempts_on_a_worker_give_the_bits_of_one_thread(monkeypatch
         monkeypatch.setattr(solver_module, "_WORKERS", 1)
         want = solve_fingerprint(solve_adaptive(problem, config))
         assert not thread_starts
-        monkeypatch.setattr(solver_module, "_WORKERS", 2)
+        on_the_worker(monkeypatch)
         assert solve_fingerprint(solve_adaptive(problem, config)) == want, seed
         with monkeypatch.context() as patch:
             sleep_in_training(patch, seed)
@@ -543,7 +549,7 @@ def test_the_halved_attempts_on_a_worker_give_the_bits_of_one_thread(monkeypatch
 
 
 def test_no_thread_is_alive_after_a_return_or_a_step_underflow(monkeypatch, thread_starts):
-    monkeypatch.setattr(solver_module, "_WORKERS", 2)
+    on_the_worker(monkeypatch)
     sol = solve_adaptive(make_benchmark("rober"), SolverConfig(tol=1e-3, seed=0))
     assert sol.segments[-1].x_stop == sol.x_end
     assert len(thread_starts) == 1 and not thread_starts.pop().is_alive()
@@ -559,7 +565,7 @@ def test_no_thread_is_alive_after_a_return_or_a_step_underflow(monkeypatch, thre
 
 
 def test_an_error_of_the_caller_abandons_the_pending_halved_attempt(monkeypatch, thread_starts):
-    monkeypatch.setattr(solver_module, "_WORKERS", 2)
+    on_the_worker(monkeypatch)
     caller, train, halved = threading.get_ident(), solver_module.gauss_newton_train, []
     started = threading.Event()
 
@@ -568,7 +574,7 @@ def test_an_error_of_the_caller_abandons_the_pending_halved_attempt(monkeypatch,
             assert started.wait(timeout=60)
             raise ZeroDivisionError("the caller's attempt failed")
         started.set()
-        assert args[1]._abandoned.wait(timeout=60)  # by the caller's error, before a step
+        assert solver_module._current.abandoned.wait(timeout=60)  # by the caller's error
         halved.append(train(*args))
         return halved[-1]
 
@@ -585,7 +591,7 @@ def test_an_error_of_the_halved_attempt_is_raised_if_used_and_dropped_if_abandon
         monkeypatch, thread_starts, used):
     # the hopeless problem's first attempt fails, so the halved one is used;
     # the flat problem's converges, so the halved one is abandoned
-    monkeypatch.setattr(solver_module, "_WORKERS", 2)
+    on_the_worker(monkeypatch)
     caller, train, raised = threading.get_ident(), solver_module.gauss_newton_train, threading.Event()
     problem = OdeProblem(name="hopeless", m=1, x0=0.0, x_end=1.0, alpha=np.zeros(1),
                          rhs=lambda x, y: np.where(np.asarray(x)[..., None] > 0.0, np.nan, 0.0),
@@ -613,16 +619,54 @@ def test_an_error_of_the_halved_attempt_is_raised_if_used_and_dropped_if_abandon
 
 def test_with_one_usable_cpu_a_solve_starts_no_thread(monkeypatch, thread_starts):
     monkeypatch.setattr(solver_module, "_WORKERS", 1)
+    monkeypatch.setattr(solver_module, "_WORKER_MIN_JACOBIAN", 0)
     solve_adaptive(make_benchmark("rober"), SolverConfig(tol=1e-3, seed=0))
     assert not thread_starts
 
 
+def test_a_solve_trains_on_the_worker_only_from_the_jacobian_size_on(monkeypatch, thread_starts):
+    # ROBER's Jacobian at n=20, h=40 is 60 x 120: 7,200 entries
+    monkeypatch.setattr(solver_module, "_WORKERS", 2)
+    rober, config = make_benchmark("rober"), SolverConfig(tol=1e-3, seed=0)
+    monkeypatch.setattr(solver_module, "_WORKER_MIN_JACOBIAN", 7_201)
+    solve_adaptive(rober, config)
+    assert not thread_starts
+    monkeypatch.setattr(solver_module, "_WORKER_MIN_JACOBIAN", 7_200)
+    solve_adaptive(rober, config)
+    assert len(thread_starts) == 1 and not thread_starts[0].is_alive()
+
+
 def test_a_solve_leaves_no_attempt_state_on_its_segments(monkeypatch):
+    fields = {f.name for f in dataclasses.fields(SegmentSolution)}
     for workers in (1, 2):
         monkeypatch.setattr(solver_module, "_WORKERS", workers)
+        monkeypatch.setattr(solver_module, "_WORKER_MIN_JACOBIAN", 0)
         sol = solve_adaptive(make_benchmark("rober"), SolverConfig(tol=1e-3, seed=0))
-        for seg in sol.segments:
-            assert not hasattr(seg, "_grid_terms") and not hasattr(seg, "_abandoned")
+        assert all(set(vars(seg)) == fields for seg in sol.segments)
+        assert solver_module._current.abandoned is None
+
+
+def test_user_callbacks_run_on_the_caller_and_the_worker_thread(monkeypatch, thread_starts):
+    # the contract of OdeProblem: a solve on two CPUs calls rhs and ode_jacobian
+    # from two threads, also for halved attempts that it drops
+    rob, callers = make_benchmark("rober"), collections.Counter()
+
+    def noted(fn):
+        def callback(x, y):
+            callers[threading.current_thread().name.split("_")[0]] += 1
+            return fn(x, y)
+        return callback
+
+    problem = dataclasses.replace(rob, rhs=noted(rob.rhs), ode_jacobian=noted(rob.ode_jacobian))
+    config = SolverConfig(tol=1e-3, seed=0)
+    monkeypatch.setattr(solver_module, "_WORKERS", 1)
+    want = solve_fingerprint(solve_adaptive(problem, config))
+    assert set(callers) == {"MainThread"} and not thread_starts
+    callers.clear()
+    on_the_worker(monkeypatch)
+    assert solve_fingerprint(solve_adaptive(problem, config)) == want
+    assert set(callers) == {"MainThread", "rpnn-train"}
+    assert len(thread_starts) == 1 and not thread_starts[0].is_alive()
 
 
 def test_rober_conservation():

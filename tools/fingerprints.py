@@ -20,6 +20,11 @@ the solves and evaluations could use (``trial._WORKERS``: 2 where the
 process may run on two or more CPUs, else 1).  With 1, no solve trained a
 halved attempt on a worker thread and no evaluation was split, so a bitwise
 check run there does not cover the threaded paths; the line then says so.
+With 2, the line gives the Jacobian size from which a solve trains on the
+worker (``solver._WORKER_MIN_JACOBIAN``): at the default ``SolverConfig``
+only HIRES reaches it, so the other problems check the one-thread solve and
+the split evaluation.  ``tests/test_solver.py`` checks the worker's bits on
+every problem.
 
 A solve that raises is fingerprinted by its exception's type and message,
 and then has no evaluation cases.  The problems are HIRES, ROBER, van der Pol
@@ -109,9 +114,12 @@ def parse(text: str) -> dict[str, str]:
 
 def workers_line() -> str:
     """The ``# workers`` line for the rpnn_ode that this process imported."""
-    workers = sys.modules["rpnn_ode"].trial._WORKERS
-    return f"# workers {workers}" + ("" if workers > 1 else
-                                     " (one usable CPU: the worker-thread paths did not run)")
+    rpnn_ode = sys.modules["rpnn_ode"]
+    workers = rpnn_ode.trial._WORKERS
+    if workers < 2:
+        return f"# workers {workers} (one usable CPU: the worker-thread paths did not run)"
+    return (f"# workers {workers} (solves train on the worker from "
+            f"{rpnn_ode.solver._WORKER_MIN_JACOBIAN} Jacobian entries on)")
 
 
 def differing(base: dict[str, str], head: dict[str, str]) -> list[str]:
