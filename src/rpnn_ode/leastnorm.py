@@ -41,10 +41,10 @@ count.  The caller's thread count is restored on exit, also when the SVD
 raises, and also when several Python threads solve at once: the first to
 enter saves the count, the last to leave restores it, and in between every
 BLAS call of the process runs on one thread.  One solve enters the pin from
-two threads where it may use two CPUs: its caller and the worker that
-trains the halved attempts (``solver``).  Changing the BLAS thread
-count from another Python thread while a solve runs is not supported: the
-solve would put back the count it found.
+two threads where it may use two CPUs and its Jacobian is large enough: its
+caller and the worker that trains the halved attempts (``solver``).
+Changing the BLAS thread count from another Python thread while a solve
+runs is not supported: the solve would put back the count it found.
 
 The thread controls are looked up on the first SVD, never at import, through
 the extension module that implements ``np.linalg.svd``: the dynamic linker

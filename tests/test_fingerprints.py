@@ -41,6 +41,8 @@ def test_the_workers_line_says_when_the_threaded_paths_did_not_run(fingerprints,
     monkeypatch.setattr(solver, "_WORKER_MIN_JACOBIAN", 24_000)
     assert fingerprints.workers_line() == (
         "# workers 2 (solves train on the worker from 24000 Jacobian entries on)")
+    monkeypatch.delattr(solver, "_WORKER_MIN_JACOBIAN")  # a base revision without the gate
+    assert fingerprints.workers_line() == "# workers 2"
     monkeypatch.setattr(trial, "_WORKERS", 1)
     assert fingerprints.workers_line().startswith("# workers 1 (one usable CPU")
     assert fingerprints.parse("a b 1\n# workers 1 (one usable CPU)\n") == {"a b": "1"}

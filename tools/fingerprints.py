@@ -118,8 +118,9 @@ def workers_line() -> str:
     workers = rpnn_ode.trial._WORKERS
     if workers < 2:
         return f"# workers {workers} (one usable CPU: the worker-thread paths did not run)"
-    return (f"# workers {workers} (solves train on the worker from "
-            f"{rpnn_ode.solver._WORKER_MIN_JACOBIAN} Jacobian entries on)")
+    gate = getattr(rpnn_ode.solver, "_WORKER_MIN_JACOBIAN", None)  # None in older revisions
+    return f"# workers {workers}" + ("" if gate is None else
+                                     f" (solves train on the worker from {gate} Jacobian entries on)")
 
 
 def differing(base: dict[str, str], head: dict[str, str]) -> list[str]:
