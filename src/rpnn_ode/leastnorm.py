@@ -42,7 +42,7 @@ raises, and also when several Python threads solve at once: the first to
 enter saves the count, the last to leave restores it, and in between every
 BLAS call of the process runs on one thread.  One solve enters the pin from
 two threads where it may use two CPUs and its Jacobian is large enough: its
-caller and the worker that trains the halved attempts (``solver``).
+caller and the worker that trains the width rule's failure branch (``solver``).
 Changing the BLAS thread count from another Python thread while a solve
 runs is not supported: the solve would put back the count it found.
 

@@ -29,7 +29,7 @@ class OdeProblem:
     """First-order system y' = f(x, y) with y(x0) = alpha, posed on [x0, x_end].
 
     m >= 1 components (stored as int); x0 and x_end finite, x0 < x_end; alpha
-    of shape (m,).  Any other value raises ValueError naming the field.
+    finite, of shape (m,).  Any other value raises ValueError naming the field.
     ``rhs`` and ``ode_jacobian`` are vectorized over points.  Given abscissae
     x of shape (k,) and states y of shape (k, m), ``rhs`` returns f at the k
     points, shape (k, m), and ``ode_jacobian`` the partials d f_i / d y_k,
@@ -69,6 +69,8 @@ class OdeProblem:
         alpha = np.atleast_1d(np.asarray(self.alpha, dtype=float))
         if alpha.shape != (self.m,):
             raise ValueError(f"alpha must have shape ({self.m},), got {alpha.shape}")
+        if not np.isfinite(alpha).all():
+            raise ValueError(f"alpha must be finite, got {alpha}")
         object.__setattr__(self, "alpha", alpha)
 
 

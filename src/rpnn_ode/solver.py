@@ -6,37 +6,42 @@ residual on n interior points and trains zero start weights by Gauss-Newton
 steps, each the minimum-norm truncated-pseudoinverse solution of the
 linearized system.  :func:`gauss_newton_train` runs two phases: converge
 (at most ``maxiter`` - 1 steps until the residual 2-norm reaches ``tol``),
-then refine (one more step, kept only if the norm does not grow).  The width
-rule in :func:`solve_adaptive` then halves the interval width when the
-residual 2-norm does not reach ``tol``, and the attempt repeats from the same
-starting abscissa; on success the next interval starts where this one
-stopped, with twice the width (clamped to the remaining domain).  Chaining
-each segment's start state to the previous segment's end value makes the
-piecewise solution continuous by construction.  A midpoint residual check
-before acceptance belongs in ``_attempt``, start weights other than zero in
-``_segment``, a per-attempt trace around the ``_attempt`` call, and another
-width policy in place of the width rule.
+then refine (one more step, kept only if the norm does not grow).
 
-Halved attempts on a worker.  The attempt that follows a failure is known
-before the failure happens: the same start, half the width, the next basis
-in the rng stream.  So where the process may use two or more CPUs
+The width rule, in ``_drive`` only: after an attempt whose residual 2-norm
+does not reach ``tol``, the next starts at the same abscissa with
+``_HALVING`` (1/2) times its width, and StepUnderflowError is raised once
+that width is below ``_MIN_WIDTH_FACTOR`` times the domain; after an
+accepted attempt, the next starts where it stopped, with twice its width.
+``_segment`` clamps each width to the remaining domain and ends the segment
+that reaches x_end there exactly.  Chaining each segment's start state to
+the previous segment's end value makes the piecewise solution continuous by
+construction.  A midpoint residual check before acceptance belongs in
+``_attempt``, start weights other than zero in ``_segment``, a per-attempt
+trace around the ``_attempt`` call, and another width policy in the width
+rule alone: the worker below trains that rule's failure branch.
+
+The failure branch on a worker.  The attempt that follows a failure is known
+before the failure happens: the same start, the failure width, the next
+basis in the rng stream.  So where the process may use two or more CPUs
 (``trial._WORKERS``) and the attempts are large enough (below), one worker
-thread per solve trains it while the caller trains the current attempt: right after the current basis is drawn, the rng
-is copied, and the worker draws the halved basis from the copy and trains
-it (``_halved``), while the halved width is at or above the floor.  If the
-current attempt fails, the driver takes the worker's segment and result and
-continues with the copied rng; if it converges, the worker's attempt is
-abandoned at its next Gauss-Newton step, and the driver goes on without
+thread per solve trains it while the caller trains the current attempt:
+right after the current basis is drawn, the rng is copied, and the worker
+draws the next basis from the copy (``_on_worker``), while the failure width
+is at or above the floor.  If the current attempt fails, the driver takes
+the worker's segment, result and rng; if it converges, the worker's attempt
+is abandoned at its next Gauss-Newton step, and the driver goes on without
 waiting.  Every attempt the driver uses is the one the one-thread driver
-would make, from the same rng state, and trains on its own segment and
-grid, so every basis, weight and knot is bit for bit the same; the SVDs run
-with OpenBLAS on one thread either way (``leastnorm``).  On HIRES at tol
-1e-6, seed 0, the worker runs 38 of the 114 SVDs of a solve that the caller
-would otherwise wait for (24 of 104 on ROBER).  The worker has ended when
-the solve returns or raises, and an error of a halved attempt is raised only
-if it is used.  So the problem's ``rhs`` and ``ode_jacobian`` run on two
-threads at once, also for attempts that are then dropped, and must be safe
-to call that way (``OdeProblem``).
+would make, from the same rng state, on its own segment and grid, so every
+basis, weight and knot is bit for bit the same; the SVDs run with OpenBLAS
+on one thread either way (``leastnorm``).  A failure width that depends on
+the failed attempt's outcome, its residual say, cannot be trained ahead.
+On HIRES at tol 1e-6, seed 0, the worker runs 38 of the 114 SVDs of a solve
+that the caller would otherwise wait for (24 of 104 on ROBER).  The worker
+has ended when the solve returns or raises, and an error of its attempt is
+raised only if the attempt is used.  So the problem's ``rhs`` and
+``ode_jacobian`` run on two threads at once, also for attempts that are
+then dropped, and must be safe to call that way (``OdeProblem``).
 
 The worker pays only where the SVD, which runs without the interpreter
 lock, is most of an attempt's time.  In smaller attempts most of the time
@@ -68,8 +73,15 @@ from .problems import OdeProblem, initial_rhs
 from .trial import _WORKERS, SegmentSolution, _block_len, _one_worker, _walk_points, trial_eval
 
 _MIN_WIDTH_FACTOR = 2.0**-30  # width floor, relative to the whole domain
+_HALVING = 0.5  # width factor after a failed attempt
 _WORKER_MIN_JACOBIAN = 24_000  # Jacobian entries from which a solve trains on a worker
-_current = threading.local()  # .abandoned: the Event that stops this thread's attempt, or None
+
+
+class _Current(threading.local):
+    abandoned = None  # the Event that stops this thread's attempt; set on the worker only
+
+
+_current = _Current()
 
 
 @dataclass(frozen=True)
@@ -177,9 +189,8 @@ def _residual(problem: OdeProblem, seg: SegmentSolution, grid: np.ndarray):
 def _step(problem: OdeProblem, seg: SegmentSolution, grid: np.ndarray, resid: np.ndarray):
     """The Gauss-Newton step -pinv(dF/dW) F as an (h, m) array, or None when the
     Jacobian or its solve cannot be computed (NumericError) or the attempt has
-    been abandoned (``_attempt``)."""
-    abandoned = getattr(_current, "abandoned", None)
-    if abandoned is not None and abandoned.is_set():
+    been abandoned (``_on_worker``)."""
+    if _current.abandoned is not None and _current.abandoned.is_set():
         return None
     try:
         step = -truncated_pinv_solve(assemble_jacobian(problem, seg, grid), resid)
@@ -233,50 +244,48 @@ class PiecewiseSolution:
 
 
 def _segment(problem: OdeProblem, config: SolverConfig, rng: SeededRng, x_start: float,
-             width: float, x_stop: float, alpha: np.ndarray) -> SegmentSolution:
-    """A fresh random basis on [x_start, x_stop], drawn from rng, with zero weights."""
+             width: float, alpha: np.ndarray) -> SegmentSolution:
+    """A fresh random basis drawn from rng, with zero weights, on [x_start, x_start + width]
+    clamped to the remaining domain; a segment that reaches x_end ends there exactly."""
+    remaining = problem.x_end - x_start
+    width = min(width, remaining)
+    x_stop = problem.x_end if width == remaining else x_start + width
     return SegmentSolution(basis=sample_basis(x_start, width, config.h, problem.m, rng),
                            alpha=alpha, weights=np.zeros((config.h, problem.m)), x_stop=x_stop)
 
 
-def _attempt(problem: OdeProblem, config: SolverConfig, seg: SegmentSolution,
-             abandoned: threading.Event | None = None) -> TrainResult:
-    """Gauss-Newton on seg's n-point collocation grid; once ``abandoned`` is set,
-    the attempt stops at its next step."""
-    _current.abandoned = abandoned
-    try:
-        grid = make_grid(seg.x_start, seg.basis.width, config.n)
-        return gauss_newton_train(problem, seg, grid, config.tol, config.maxiter)
-    finally:
-        _current.abandoned = None
+def _attempt(problem: OdeProblem, config: SolverConfig, seg: SegmentSolution) -> TrainResult:
+    """Gauss-Newton on seg's n-point collocation grid."""
+    grid = make_grid(seg.x_start, seg.basis.width, config.n)
+    return gauss_newton_train(problem, seg, grid, config.tol, config.maxiter)
 
 
-def _halved(problem: OdeProblem, config: SolverConfig, rng: SeededRng, x_start: float,
-            width: float, alpha: np.ndarray, abandoned: threading.Event):
-    """The worker's attempt on [x_start, x_start + width] with a basis drawn from
-    rng: (seg, result), or None when abandoned before it started."""
+def _on_worker(problem: OdeProblem, config: SolverConfig, rng: SeededRng, x_start: float,
+               width: float, alpha: np.ndarray, abandoned: threading.Event):
+    """The worker's attempt at x_start and width, with a basis drawn from rng:
+    (seg, result, rng), or None when abandoned before it started; once
+    ``abandoned`` is set, the attempt stops at its next Gauss-Newton step."""
     if abandoned.is_set():
         return None
-    seg = _segment(problem, config, rng, x_start, width, x_start + width, alpha)
-    return seg, _attempt(problem, config, seg, abandoned)
+    _current.abandoned = abandoned
+    seg = _segment(problem, config, rng, x_start, width, alpha)
+    return seg, _attempt(problem, config, seg), rng
 
 
 def solve_adaptive(problem: OdeProblem, config: SolverConfig) -> PiecewiseSolution:
     """Solve the IVP by adaptive segment training; deterministic in config.seed.
 
-    Raises NumericError when f(x0, alpha) is not finite (``initial_rhs``), as
-    the classical integrators do: no width could train from there.  Raises
-    StepUnderflowError when repeated halving pushes the interval width below
-    ``_MIN_WIDTH_FACTOR`` * (x_end - x0), with ``_MIN_WIDTH_FACTOR`` = 2^-30.
-    Where the process may run on two or more CPUs (``trial._WORKERS`` is 2)
-    and the Jacobian has at least ``_WORKER_MIN_JACOBIAN`` entries, one
-    worker thread trains the halved attempts (module docstring); it has
-    ended when the call returns or raises.  problem.rhs and
-    problem.ode_jacobian are then called from the caller and the worker at
-    once, also for halved attempts that are dropped, so they must be
+    The width rule and its worker thread are described in the module
+    docstring.  Raises NumericError when f(x0, alpha) is not finite
+    (``initial_rhs``), as the classical integrators do: no width could train
+    from there.  Raises StepUnderflowError when the width falls below
+    ``_MIN_WIDTH_FACTOR`` (2^-30) times x_end - x0.  Where the worker trains,
+    problem.rhs and problem.ode_jacobian are called from the caller and the
+    worker at once, also for attempts that are dropped, so they must be
     thread-safe: a callback that writes into a shared buffer or keeps a
     counter or cache without a lock can race.  The results stay those of one
-    thread as long as each call's result depends on its arguments only.
+    thread as long as each call's result depends on its arguments only.  The
+    worker has ended when the call returns or raises.
     """
     initial_rhs(problem)
     if _WORKERS < 2 or config.n * problem.m * problem.m * config.h < _WORKER_MIN_JACOBIAN:
@@ -286,39 +295,35 @@ def solve_adaptive(problem: OdeProblem, config: SolverConfig) -> PiecewiseSoluti
 
 
 def _drive(problem: OdeProblem, config: SolverConfig, worker) -> PiecewiseSolution:
-    """The width rule of ``solve_adaptive``; ``worker``, an executor or None,
-    trains the halved attempts."""
+    """The width rule of the module docstring; ``worker``, an executor or None,
+    trains its failure branch."""
     rng = SeededRng(config.seed)
     span = problem.x_end - problem.x0
     floor = _MIN_WIDTH_FACTOR * span
     x_star, alpha, width = problem.x0, problem.alpha.copy(), span
-    segments: list[SegmentSolution] = []
-    iterations: list[int] = []
-    halved = abandon = spare = None  # the worker's attempt at half the width, its stop, its rng
+    segments, iterations = [], []
+    pending = None  # (future, abandon event) of the worker's attempt at the failure width
     try:
         while x_star < problem.x_end:
-            remaining = problem.x_end - x_star
-            width = min(width, remaining)
-            x_stop = problem.x_end if width == remaining else x_star + width  # tile exactly
-            if halved is not None:  # the current attempt failed: the worker's is next
-                (seg, result), rng, halved = halved.result(), spare, None
+            if pending is not None:  # the current attempt failed: the worker's is next
+                (seg, result, rng), pending = pending[0].result(), None
             else:
-                seg = _segment(problem, config, rng, x_star, width, x_stop, alpha)
-                if worker is not None and 0.5 * width >= floor:
-                    spare, abandon = copy.copy(rng), threading.Event()
-                    halved = worker.submit(_halved, problem, config, spare, x_star, 0.5 * width,
-                                           alpha, abandon)
+                seg = _segment(problem, config, rng, x_star, width, alpha)
+                if worker is not None and _HALVING * seg.basis.width >= floor:
+                    abandon = threading.Event()
+                    pending = worker.submit(_on_worker, problem, config, copy.copy(rng), x_star,
+                                            _HALVING * seg.basis.width, alpha, abandon), abandon
                 result = _attempt(problem, config, seg)
             if result.converged:
-                if halved is not None:
-                    abandon.set()
-                    halved = None
+                if pending is not None:
+                    pending[1].set()
+                    pending = None
                 segments.append(seg)
                 iterations.append(result.iterations)
-                alpha, x_star = trial_eval(seg, x_stop), x_stop
-                width *= 2.0
+                alpha, x_star = trial_eval(seg, seg.x_stop), seg.x_stop
+                width = 2.0 * seg.basis.width
                 continue
-            width *= 0.5
+            width = _HALVING * seg.basis.width
             if width < floor:
                 err = result.final_residual_norm
                 raise StepUnderflowError(
@@ -326,17 +331,11 @@ def _drive(problem: OdeProblem, config: SolverConfig, worker) -> PiecewiseSoluti
                     f"floor {floor!r} (last residual norm {err!r})", abscissa=x_star,
                     last_error=err)
     finally:
-        if halved is not None:
-            abandon.set()
-    return PiecewiseSolution(
-        problem_name=problem.name,
-        m=problem.m,
-        x0=problem.x0,
-        x_end=problem.x_end,
-        segments=tuple(segments),
-        iterations=tuple(iterations),
-        total_points=config.n * len(segments),
-    )
+        if pending is not None:
+            pending[1].set()
+    return PiecewiseSolution(problem_name=problem.name, m=problem.m, x0=problem.x0,
+                             x_end=problem.x_end, segments=tuple(segments),
+                             iterations=tuple(iterations), total_points=config.n * len(segments))
 
 
 def eval_solution(sol: PiecewiseSolution, x) -> np.ndarray:

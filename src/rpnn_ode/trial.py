@@ -136,9 +136,7 @@ def _walk_points(x, knots: np.ndarray, side: str, m: int, size: int, fill,
     with one walker, so the output is the same bit for bit.  fill must then
     be safe to call from two threads at once on disjoint rows.
     """
-    xs = np.asarray(x, dtype=float)
-    if xs.ndim > 1:
-        raise ValueError(f"evaluation points must be a scalar or 1-d, got shape {xs.shape}")
+    xs = _points(x)
     pts = np.atleast_1d(xs)
     if pts.size and not (pts.min() >= knots[0] and pts.max() <= knots[-1]):
         raise ValueError(f"evaluation points must lie in [{knots[0]}, {knots[-1]}], "
@@ -174,6 +172,14 @@ def _walk_points(x, knots: np.ndarray, side: str, m: int, size: int, fill,
             walk(starts[:half])
             second.result()
     return out[0] if xs.ndim == 0 else out
+
+
+def _points(x) -> np.ndarray:
+    """x as a float array; ValueError when it has more than one dimension."""
+    xs = np.asarray(x, dtype=float)
+    if xs.ndim > 1:
+        raise ValueError(f"evaluation points must be a scalar or 1-d, got shape {xs.shape}")
+    return xs
 
 
 def _one_worker(name: str):
@@ -253,8 +259,9 @@ def trial_eval(seg: SegmentSolution, x, out: np.ndarray | None = None) -> np.nda
     Points outside [x_start, x_stop] are permitted; the Gaussian tails decay
     smoothly, so extrapolation is well defined.  ``out``, a (k, m) float
     array for k points, receives the values in place and is returned.
+    Raises ValueError when x has more than one dimension.
     """
-    xs = np.asarray(x, dtype=float)
+    xs = _points(x)
     if xs.ndim == 0:
         return _combine(seg, xs[None])[0]
     return _combine(seg, xs, out)

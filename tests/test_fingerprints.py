@@ -45,6 +45,8 @@ def test_the_workers_line_says_when_the_threaded_paths_did_not_run(fingerprints,
     assert fingerprints.workers_line() == "# workers 2"
     monkeypatch.setattr(trial, "_WORKERS", 1)
     assert fingerprints.workers_line().startswith("# workers 1 (one usable CPU")
+    monkeypatch.delattr(trial, "_WORKERS")  # a base revision without the threaded paths
+    assert fingerprints.workers_line() == "# workers 1 (this revision has no worker-thread paths)"
     assert fingerprints.parse("a b 1\n# workers 1 (one usable CPU)\n") == {"a b": "1"}
 
 

@@ -181,7 +181,8 @@ def test_problem_constructor_validation():
         OdeProblem(name="b", m=2, x0=0.0, x_end=1.0, alpha=np.array([0.0]), **kwargs)
     # m=1.0 and a 0-d array x0 used to fail only in a solve, strings with TypeError
     for field, value in (("m", 1.0), ("m", "1"), ("x0", "0"), ("x0", np.array(0.0)),
-                         ("x_end", "1"), ("x_end", np.array(1.0))):
+                         ("x_end", "1"), ("x_end", np.array(1.0)),
+                         ("alpha", [math.nan]), ("alpha", [math.inf])):
         fields = dict(name="b", m=1, x0=0.0, x_end=1.0, alpha=np.array([0.0]), **kwargs)
         with pytest.raises(ValueError, match=field):
             OdeProblem(**{**fields, field: value})

@@ -548,6 +548,19 @@ def test_the_halved_attempts_on_a_worker_give_the_bits_of_one_thread(monkeypatch
         thread_starts.clear()
 
 
+@pytest.mark.parametrize("name,params", [("hires", {}), ("rober", {}), ("vdp", {"mu": 100.0})])
+def test_the_worker_trains_the_failure_branch_of_the_width_rule(monkeypatch, thread_starts, name,
+                                                               params):
+    # a width policy changed in the rule alone, as a new controller would change it
+    monkeypatch.setattr(solver_module, "_HALVING", 0.25)
+    problem, config = make_benchmark(name, **params), SolverConfig(tol=1e-6, seed=0)
+    monkeypatch.setattr(solver_module, "_WORKERS", 1)
+    want = solve_fingerprint(solve_adaptive(problem, config))
+    on_the_worker(monkeypatch)
+    assert solve_fingerprint(solve_adaptive(problem, config)) == want
+    assert len(thread_starts) == 1 and not thread_starts[0].is_alive()
+
+
 def test_no_thread_is_alive_after_a_return_or_a_step_underflow(monkeypatch, thread_starts):
     on_the_worker(monkeypatch)
     sol = solve_adaptive(make_benchmark("rober"), SolverConfig(tol=1e-3, seed=0))
@@ -750,6 +763,8 @@ def test_eval_solution_rejects_multidimensional_points(shape):
     pts = np.linspace(sol.x0, sol.x_end, math.prod(shape)).reshape(shape)
     with pytest.raises(ValueError, match="1-d"):
         eval_solution(sol, pts)
+    with pytest.raises(ValueError, match="1-d"):  # used to be numpy's broadcast error
+        trial_eval(sol.segments[0], pts)
 
 
 @pytest.mark.parametrize("method", ["rpnn", "dp45", "sdirk"])

@@ -17,9 +17,11 @@ hex digits of a SHA-256 over the case's arrays (dtype, shape and bytes):
 
 After the cases, a line ``# workers <k>`` gives the number of threads that
 the solves and evaluations could use (``trial._WORKERS``: 2 where the
-process may run on two or more CPUs, else 1).  With 1, no solve trained a
-halved attempt on a worker thread and no evaluation was split, so a bitwise
-check run there does not cover the threaded paths; the line then says so.
+process may run on two or more CPUs, else 1).  With 1, no solve trained an
+attempt on a worker thread and no evaluation was split, so a bitwise
+check run there does not cover the threaded paths; the line then says so,
+as it says when the revision has no ``trial._WORKERS`` and so no threaded
+paths at all.
 With 2, the line gives the Jacobian size from which a solve trains on the
 worker (``solver._WORKER_MIN_JACOBIAN``): at the default ``SolverConfig``
 only HIRES reaches it, so the other problems check the one-thread solve and
@@ -115,7 +117,9 @@ def parse(text: str) -> dict[str, str]:
 def workers_line() -> str:
     """The ``# workers`` line for the rpnn_ode that this process imported."""
     rpnn_ode = sys.modules["rpnn_ode"]
-    workers = rpnn_ode.trial._WORKERS
+    workers = getattr(rpnn_ode.trial, "_WORKERS", None)  # None in older revisions
+    if workers is None:
+        return "# workers 1 (this revision has no worker-thread paths)"
     if workers < 2:
         return f"# workers {workers} (one usable CPU: the worker-thread paths did not run)"
     gate = getattr(rpnn_ode.solver, "_WORKER_MIN_JACOBIAN", None)  # None in older revisions
